@@ -5,7 +5,8 @@
 
    Run everything:        dune exec bench/main.exe
    Run a subset:          dune exec bench/main.exe -- ex1 b3 b5
-   Smaller/faster sweeps: dune exec bench/main.exe -- --quick *)
+   Smaller/faster sweeps: dune exec bench/main.exe -- --quick
+   Record the numbers:    dune exec bench/main.exe -- b20 --json FILE *)
 
 open Lsdb
 
@@ -15,13 +16,14 @@ let quick = ref false
 (* Machine-readable results                                            *)
 
 (* Every headline number printed in a pretty table is also recorded here
-   and dumped as JSON (default BENCH_PR9.json, override with --json FILE)
-   so regressions can be tracked without parsing tables. Writing merges
-   into an existing file: rows measured this run replace same-id rows,
-   rows from experiments not re-run are preserved, so partial runs
-   (`bench b15`) refresh their slice of the file instead of erasing the
-   rest. *)
-let json_path = ref "BENCH_PR9.json"
+   and, with --json FILE, dumped as JSON so regressions can be tracked
+   without parsing tables. Without --json nothing is written: a run from
+   the repository root must not edit a committed results file. Writing
+   merges into an existing file: rows measured this run replace same-id
+   rows, rows from experiments not re-run are preserved, so partial runs
+   (`bench b15 --json FILE`) refresh their slice of the file instead of
+   erasing the rest. *)
+let json_path = ref None
 let json_rows : (string * float * string) list ref = ref []
 let record id value unit_ = json_rows := (id, value, unit_) :: !json_rows
 
@@ -61,15 +63,15 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let write_json () =
+let write_json path =
   let fresh = List.rev !json_rows in
   let kept =
     List.filter
       (fun (id, _, _) -> not (List.exists (fun (id', _, _) -> id = id') fresh))
-      (read_json_rows !json_path)
+      (read_json_rows path)
   in
   let rows = kept @ fresh in
-  let oc = open_out !json_path in
+  let oc = open_out path in
   output_string oc "[\n";
   List.iteri
     (fun i (id, value, unit_) ->
@@ -79,7 +81,7 @@ let write_json () =
     rows;
   output_string oc "]\n";
   close_out oc;
-  Printf.printf "\nwrote %d measurement(s) to %s\n" (List.length rows) !json_path
+  Printf.printf "\nwrote %d measurement(s) to %s\n" (List.length rows) path
 
 (* ------------------------------------------------------------------ *)
 (* Small measurement helpers                                           *)
@@ -1862,16 +1864,17 @@ let b19 () =
 (* B20 — sharded fact heaps                                            *)
 
 (* Closure, incremental maintenance and path search at 1–8 heap shards,
-   gated on canonical identity with the single-heap oracle at every
-   shard count and — in full mode, on the ≥1M-fact workload — on a ≥3x
+   gated on canonical identity with the one-shard layout at every shard
+   count and — in full mode, on the ≥1M-fact workload — on a ≥3x
    cold-closure speedup at 8 shards. The speedup on one core comes from
-   reading through the store instead of copying it: the oracle loads the
-   whole heap into two private stratum indexes before deriving anything,
-   the sharded closure derives over the store's own postings. *)
+   reading through the store instead of copying it: at one shard each
+   stratum loads its whole input into its own index before deriving
+   anything, above one shard the strata derive over the store's own
+   postings. *)
 let b20 () =
   section
-    "B20 — sharded heaps: closure/retract/search scaling vs the single-heap \
-     oracle";
+    "B20 — sharded heaps: closure/retract/search scaling vs the one-shard \
+     layout";
   let check what ok =
     if not ok then begin
       incr equivalence_failures;
@@ -1987,7 +1990,7 @@ let b20 () =
         oracle_search_ms, o0, od0, o1, o2, opaths ) =
     lifecycle 1
   in
-  check "oracle really ran single-heap" (Closure.shards (Database.closure odb) = 1);
+  check "reference really ran at one shard" (Closure.shards (Database.closure odb) = 1);
   let closure8_ms = ref oracle_closure_ms in
   let rows =
     [
@@ -2010,7 +2013,7 @@ let b20 () =
            check (label "post-extension closure identical") (arr_eq o1 s1);
            check (label "post-retraction closure identical") (arr_eq o2 s2);
            check (label "composition paths identical") (paths = opaths);
-           check (label "dispatcher picked the sharded path")
+           check (label "closure took the sharded layout")
              (Closure.shards (Database.closure db) = shards);
            let speedup = oracle_closure_ms /. closure_ms in
            if shards = 8 then closure8_ms := closure_ms;
@@ -2064,7 +2067,7 @@ let b20 () =
   let speedup = oracle_closure_ms /. !closure8_ms in
   record "b20/closure_speedup_8sh" speedup "x";
   record "b20/base_facts" (float_of_int (Database.base_cardinal odb)) "facts";
-  Printf.printf "\ncold closure at 8 shards: %.2fx the single-heap oracle\n"
+  Printf.printf "\ncold closure at 8 shards: %.2fx the one-shard layout\n"
     speedup;
   if not !quick then
     check
@@ -2254,7 +2257,7 @@ let b21 () =
             check (label "cold closure identical to the oracle") (arr_eq o0 s0);
             check (label "post-extension closure identical") (arr_eq o1 s1);
             check (label "post-retraction closure identical") (arr_eq o2 s2);
-            check (label "dispatcher picked the right layout")
+            check (label "closure took the right layout")
               (Closure.shards (Database.closure db) = shards);
             (match !row_order with
             | None -> row_order := Some d0
@@ -2656,7 +2659,7 @@ let () =
         Lsdb_obs.Metrics.set_enabled true;
         parse acc rest
     | "--json" :: path :: rest ->
-        json_path := path;
+        json_path := Some path;
         parse acc rest
     | "--json" :: [] ->
         prerr_endline "--json requires a file argument";
@@ -2680,7 +2683,7 @@ let () =
   in
   Printf.printf "lsdb experiment harness%s\n" (if !quick then " (quick mode)" else "");
   List.iter (fun (_, fn) -> fn ()) selected;
-  write_json ();
+  Option.iter write_json !json_path;
   if !equivalence_failures > 0 then begin
     Printf.eprintf "FAIL: %d incremental/recompute equivalence mismatch(es)\n"
       !equivalence_failures;

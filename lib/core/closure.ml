@@ -1,417 +1,206 @@
 module D = Lsdb_datalog
 
-exception Diverged = D.Engine.Diverged
+exception Diverged = D.Sharded.Diverged
 
-(* The classic single-heap implementation: each stratum owns a full
-   [Index.t] copy of its input facts. It doubles as the oracle the
-   sharded path is gated against (B20, shard torture). *)
-module Single = struct
-  type t = {
-    mutable staged : D.Engine.result option;  (* stratum 1 (inversion) *)
-    mutable result : D.Engine.result;  (* the full closure *)
-    mutable staged_rules : D.Rule.t list;
-    mutable rules : D.Rule.t list;
-    mutable base_cardinal : int;
-    mutable actives : (int, unit) Hashtbl.t option;
-    (* Derived facts in derivation order, newest segment first: extensions
-       push a segment instead of concatenating (which would be O(closure)
-       per insert). Deletion paths leave stale entries behind rather than
-       rewriting every segment — readers filter against the provenance
-       table, and the segments are compacted once stale entries outnumber
-       live ones. [derived_listed] counts listed entries, stale included;
-       the live count is the provenance table's length. *)
-    mutable derived_segments : D.Triple.t list list;
-    mutable derived_listed : int;
+(* Two strata over the store: the inversion stage, then the main rules,
+   whose input is everything the stage sees — so stage consequences are
+   input facts to the main rules, with their provenance kept in the stage.
+   The shard plan picks each stratum's layout ({!D.Sharded}). *)
+type t = {
+  store : Store.t;
+  stage : D.Sharded.t option;
+      (* [None] when computed without staged rules, or when a governor
+         trip inside the stage made it the (partial) closure itself *)
+  main : D.Sharded.t;
+  view : D.Engine.view;  (* the main stratum's, i.e. the whole closure *)
+  mutable staged_rules : D.Rule.t list;
+  mutable rules : D.Rule.t list;
+  mutable actives : (int, unit) Hashtbl.t option;
+  (* Derived facts in derivation order, newest segment first: extensions
+     push a segment instead of concatenating (which would be O(closure)
+     per insert). Deletion paths leave stale entries behind rather than
+     rewriting every segment — readers filter against the provenance
+     tables, and the segments are compacted once stale entries outnumber
+     live ones. [derived_listed] counts listed entries, stale included. *)
+  mutable derived_segments : D.Triple.t list list;
+  mutable derived_listed : int;
+}
+
+let base_of_store store : D.Sharded.base =
+  {
+    b_seq = (fun () -> Store.to_seq store);
+    b_iter =
+      (fun ~s ~r ~tgt f -> Store.match_pattern store { Store.s; r; t = tgt } f);
+    b_mem = (fun fact -> Store.mem store fact);
+    b_count = (fun ~s ~r ~tgt -> Store.count_fast store { Store.s; r; t = tgt });
+    b_cardinal = (fun () -> Store.cardinal store);
   }
 
-  let compute ?(max_facts = 2_000_000) ?pool ?gov ?(staged_rules = []) ~rules
-      store =
-    let tripped () =
-      match gov with
-      | Some g -> Lsdb_exec.Governor.tripped g <> None
-      | None -> false
-    in
-    let staged, result =
-      match staged_rules with
-      | [] ->
-          (None, D.Engine.closure ~max_facts ?pool ?gov rules (Store.to_seq store))
-      | _ ->
-          let stage =
-            D.Engine.closure ~max_facts ?pool ?gov staged_rules
-              (Store.to_seq store)
-          in
-          if tripped () then
-            (* The budget tripped inside the inversion stratum. Running the
-               main stratum now would reload the whole stage index
-               (ungoverned, by the base-facts invariant) only to trip at
-               its first checkpoint — for a wall deadline that means twice
-               the budget gone on index loads alone. Adopt the stage as the
-               partial result instead: it holds every base fact plus
-               whatever inversions landed, the cache is flagged partial and
-               discarded at the next governor transition, and retraction on
-               it stays sound because the delete/rederive walk follows
-               recorded provenance, not the rule list. *)
-            (None, stage)
-          else
-            let result =
-              D.Engine.closure ~max_facts ?pool ?gov rules
-                (D.Index.to_seq stage.index)
-            in
-            (* The stage's derived facts are base facts to the main run;
-               restore their provenance and derivation order. *)
-            D.Triple.Tbl.iter
-              (fun fact prov ->
-                if not (D.Triple.Tbl.mem result.provenance fact) then
-                  D.Triple.Tbl.replace result.provenance fact prov)
-              stage.provenance;
-            ( Some stage,
-              {
-                result with
-                derived = stage.derived @ result.derived;
-                rounds = stage.rounds + result.rounds;
-              } )
-    in
-    {
-      staged;
-      result;
-      staged_rules;
-      rules;
-      base_cardinal = Store.cardinal store;
-      actives = None;
-      derived_segments = [ result.derived ];
-      derived_listed = List.length result.derived;
-    }
+let base_of_stage stage : D.Sharded.base =
+  let v = D.Sharded.view stage in
+  {
+    b_seq = (fun () -> D.Sharded.to_seq stage);
+    b_iter = v.v_iter;
+    b_mem = v.v_mem;
+    b_count = v.v_count;
+    b_cardinal = (fun () -> D.Sharded.cardinal stage);
+  }
 
-  let push_derived t added =
-    (* The derived facts among the newly added triples are exactly those
-       with a recorded derivation. *)
-    let derived =
-      List.filter (fun fact -> D.Triple.Tbl.mem t.result.provenance fact) added
-    in
-    if derived <> [] then begin
-      t.derived_segments <- derived :: t.derived_segments;
-      t.derived_listed <- t.derived_listed + List.length derived
-    end
-
-  (* Rebuild the derivation-order record from the provenance table,
-     dropping stale entries. O(listed entries), so it must not run on
-     every deletion — see [compact_derived]. *)
-  let refilter_derived t =
-    t.derived_segments <-
-      List.filter_map
-        (fun seg ->
-          match
-            List.filter (fun f -> D.Triple.Tbl.mem t.result.provenance f) seg
-          with
-          | [] -> None
-          | seg -> Some seg)
-        t.derived_segments;
-    t.derived_listed <-
-      List.fold_left (fun n seg -> n + List.length seg) 0 t.derived_segments
-
-  (* Amortization: only rewrite the segments once stale entries dominate,
-     so a retraction's bookkeeping cost is proportional to what it
-     deleted, not to the closure's total derived count. *)
-  let compact_derived t =
-    if t.derived_listed > (2 * D.Triple.Tbl.length t.result.provenance) + 1024
-    then refilter_derived t
-
-  let extend ?(max_facts = 2_000_000) ?pool ?gov t facts =
-    (* A fact asserted as base that the closure had already derived stops
-       being derived: a from-scratch recompute records no derivation for
-       base facts, and retraction must never delete a base fact just
-       because its former premises went away. *)
-    let demoted =
-      List.filter (fun f -> D.Triple.Tbl.mem t.result.provenance f) facts
-    in
-    List.iter
-      (fun f ->
-        D.Engine.forget_provenance t.result f;
-        match t.staged with
-        | Some stage -> D.Engine.forget_provenance stage f
-        | None -> ())
-      demoted;
-    let triples = List.to_seq facts in
-    (match t.staged with
-    | None ->
-        let result, added =
-          D.Engine.extend ~max_facts ?pool ?gov t.rules t.result triples
-        in
-        t.result <- result;
-        push_derived t added
-    | Some stage ->
-        let stage, stage_added =
-          D.Engine.extend ~max_facts ?pool ?gov t.staged_rules stage triples
-        in
-        t.staged <- Some stage;
-        (* Stage provenance for the newly inverted facts carries over. *)
-        List.iter
-          (fun fact ->
-            match D.Triple.Tbl.find_opt stage.provenance fact with
-            | Some prov when not (D.Triple.Tbl.mem t.result.provenance fact) ->
-                D.Engine.record_provenance t.result fact prov
-            | _ -> ())
-          stage_added;
-        let result, added =
-          D.Engine.extend ~max_facts ?pool ?gov t.rules t.result
-            (List.to_seq stage_added)
-        in
-        t.result <- result;
-        push_derived t added);
-    if demoted <> [] then compact_derived t;
-    t.base_cardinal <- t.base_cardinal + List.length facts;
-    t.actives <- None;
-    t
-
-  (* Incremental deletion: delete/rederive in each stratum, stage first.
-     Facts the stage stratum loses become the deletions of the main
-     stratum; restored stage facts get their fresh stage derivations
-     mirrored into the main provenance {e before} the main support walk,
-     so the main cone is never inflated by a stale inversion edge. *)
-  let retract ?(max_facts = 2_000_000) ?pool ?gov t facts =
-    (match t.staged with
-    | None ->
-        let result, _ret =
-          D.Engine.retract ~max_facts ?pool ?gov t.rules t.result facts
-        in
-        t.result <- result
-    | Some stage ->
-        let stage, sret =
-          D.Engine.retract ~max_facts ?pool ?gov t.staged_rules stage facts
-        in
-        t.staged <- Some stage;
-        List.iter
-          (fun fact ->
-            match D.Triple.Tbl.find_opt stage.provenance fact with
-            | Some prov -> D.Engine.record_provenance t.result fact prov
-            | None -> ())
-          sret.restored;
-        let result, mret =
-          D.Engine.retract ~max_facts ?pool ?gov t.rules t.result sret.removed
-        in
-        t.result <- result;
-        (* Reconcile: anything the stage stratum kept is a base fact of
-           the main stratum and must remain in the closure — re-add it
-           (with its stage derivation) and close over it if the main
-           retraction dropped it through a stale support edge. *)
-        let missing =
-          List.filter
-            (fun f ->
-              D.Index.mem stage.index f && not (D.Index.mem t.result.index f))
-            mret.removed
-        in
-        if missing <> [] then begin
-          List.iter
-            (fun fact ->
-              match D.Triple.Tbl.find_opt stage.provenance fact with
-              | Some prov when not (D.Triple.Tbl.mem t.result.provenance fact)
-                ->
-                  D.Engine.record_provenance t.result fact prov
-              | _ -> ())
-            missing;
-          let result, added =
-            D.Engine.extend ~max_facts ?pool ?gov t.rules t.result
-              (List.to_seq missing)
-          in
-          t.result <- result;
-          (* The retracted facts themselves are accounted for by the
-             [promoted] segment below — don't record them twice. *)
-          push_derived t
-            (List.filter
-               (fun f -> not (List.exists (D.Triple.equal f) facts))
-               added)
-        end);
-    t.base_cardinal <- t.base_cardinal - List.length facts;
-    t.actives <- None;
-    compact_derived t;
-    (* Retracted base facts that survived the rederivation are now
-       derived facts: they just gained a recorded derivation, and were
-       never in the derivation-order record while they were base. *)
-    let promoted =
-      List.filter (fun f -> D.Triple.Tbl.mem t.result.provenance f) facts
-    in
-    if promoted <> [] then begin
-      t.derived_segments <- promoted :: t.derived_segments;
-      t.derived_listed <- t.derived_listed + List.length promoted
-    end;
-    t
-
-  let support_size t =
-    D.Engine.support_size t.result
-    + match t.staged with Some stage -> D.Engine.support_size stage | None -> 0
-
-  (* Rule-set swap for the cheap rule-toggle paths: the caller has
-     established (via {!rule_counts} / {!closed_under}) that the closure's
-     content is already exactly what a recompute under the new rule set
-     would produce; only future extensions/retractions need the new set. *)
-  let set_rules t ~staged_rules ~rules =
-    t.staged_rules <- staged_rules;
-    t.rules <- rules
-
-  let closed_under t rules = D.Engine.step rules t.result.index = []
-  let mem t fact = D.Index.mem t.result.index fact
-  let cardinal t = D.Index.cardinal t.result.index
-  let base_cardinal t = t.base_cardinal
-
-  let derived t =
-    List.concat_map
-      (List.filter (fun f -> D.Triple.Tbl.mem t.result.provenance f))
-      (List.rev t.derived_segments)
-
-  let derived_count t = D.Triple.Tbl.length t.result.provenance
-  let is_derived t fact = D.Triple.Tbl.mem t.result.provenance fact
-
-  let provenance t fact =
-    match D.Triple.Tbl.find_opt t.result.provenance fact with
-    | Some { D.Engine.rule; premises } -> Some (rule, premises)
-    | None -> None
-
-  let rounds t = t.result.rounds
-
-  let rule_counts t =
-    let counts = Hashtbl.create 16 in
-    D.Triple.Tbl.iter
-      (fun _ { D.Engine.rule; _ } ->
-        Hashtbl.replace counts rule
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts rule)))
-      t.result.provenance;
-    Hashtbl.fold (fun rule n acc -> (rule, n) :: acc) counts []
-    |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
-
-  let iter f t = D.Index.iter f t.result.index
-  let to_seq t = D.Index.to_seq t.result.index
-
-  let match_pattern t (pat : Store.pattern) f =
-    D.Index.candidates t.result.index ~s:pat.s ~r:pat.r ~tgt:pat.t f
-
-  (* Exact O(1) selectivity probes over the closure index: frozen-tier
-     ranges/postings net of tombstones plus live delta cells. These back
-     conjunct ordering in Eval.cost and frontier selection in
-     Composition. *)
-  let count_pattern t (pat : Store.pattern) =
-    D.Index.count t.result.index ~s:pat.s ~r:pat.r ~tgt:pat.t
-
-  let out_degree t e = D.Index.count_s t.result.index e
-  let in_degree t e = D.Index.count_t t.result.index e
-
-  (* The [actives] cache mutates under read; concurrent readers (parallel
-     retraction waves) must force it from a single domain first — see
-     [prepare_readers]. *)
-  let force_actives t =
-    match t.actives with
-    | Some table -> table
-    | None ->
-        let table = Hashtbl.create 256 in
-        D.Index.iter
-          (fun (triple : D.Triple.t) ->
-            Hashtbl.replace table triple.s ();
-            Hashtbl.replace table triple.r ();
-            Hashtbl.replace table triple.t ())
-          t.result.index;
-        t.actives <- Some table;
-        table
-
-  let prepare_readers t = ignore (force_actives t)
-  let active_entities t = Hashtbl.to_seq_keys (force_actives t)
-  let entity_active t entity = Hashtbl.mem (force_actives t) entity
-end
-
-(* The dispatcher: a single-shard store gets the copying implementation
-   above, a sharded store gets the read-through sharded strata
-   ({!Sharded_closure}). Both sides maintain the same content contract,
-   so every caller is oblivious to which one is live. *)
-type t = Single of Single.t | Sharded of Sharded_closure.t
-
-let compute ?max_facts ?pool ?gov ?staged_rules ?shards ~rules store =
-  let shards =
-    match shards with Some n -> max 1 n | None -> Store.shards store
-  in
-  if shards <= 1 then
-    Single (Single.compute ?max_facts ?pool ?gov ?staged_rules ~rules store)
-  else
-    Sharded
-      (Sharded_closure.compute ?max_facts ?pool ?gov ?staged_rules ~rules
-         ~shards store)
-
-let extend ?max_facts ?pool ?gov t facts =
-  (match t with
-  | Single s -> ignore (Single.extend ?max_facts ?pool ?gov s facts : Single.t)
-  | Sharded s ->
-      ignore (Sharded_closure.extend ?pool ?gov s facts : Sharded_closure.t));
-  t
-
-let retract ?max_facts ?pool ?gov t facts =
-  (match t with
-  | Single s -> ignore (Single.retract ?max_facts ?pool ?gov s facts : Single.t)
-  | Sharded s ->
-      ignore (Sharded_closure.retract ?pool ?gov s facts : Sharded_closure.t));
-  t
-
-let support_size = function
-  | Single s -> Single.support_size s
-  | Sharded s -> Sharded_closure.support_size s
-
-let set_rules t ~staged_rules ~rules =
-  match t with
-  | Single s -> Single.set_rules s ~staged_rules ~rules
-  | Sharded s -> Sharded_closure.set_rules s ~staged_rules ~rules
-
-let closed_under t rules =
-  match t with
-  | Single s -> Single.closed_under s rules
-  | Sharded s -> Sharded_closure.closed_under s rules
-
-let mem t fact =
-  match t with
-  | Single s -> Single.mem s fact
-  | Sharded s -> Sharded_closure.mem s fact
-
-let cardinal = function
-  | Single s -> Single.cardinal s
-  | Sharded s -> Sharded_closure.cardinal s
-
-let base_cardinal = function
-  | Single s -> Single.base_cardinal s
-  | Sharded s -> Sharded_closure.base_cardinal s
-
-let derived = function
-  | Single s -> Single.derived s
-  | Sharded s -> Sharded_closure.derived s
-
-let derived_count = function
-  | Single s -> Single.derived_count s
-  | Sharded s -> Sharded_closure.derived_count s
-
+let strata t = match t.stage with Some stage -> [ stage; t.main ] | None -> [ t.main ]
+let sum f t = List.fold_left (fun n s -> n + f s) 0 (strata t)
 let is_derived t fact =
-  match t with
-  | Single s -> Single.is_derived s fact
-  | Sharded s -> Sharded_closure.is_derived s fact
+  D.Sharded.is_derived t.main fact
+  || match t.stage with Some stage -> D.Sharded.is_derived stage fact | None -> false
+
+let compute ?(max_facts = 2_000_000) ?pool ?gov ?(staged_rules = []) ~rules
+    store =
+  let plan = D.Shard.plan (Store.shards store) in
+  let stratum rules base =
+    let s = D.Sharded.create ~max_facts ~plan base in
+    (s, D.Sharded.closure ?pool ?gov rules s)
+  in
+  let stage, main, derived =
+    match staged_rules with
+    | [] ->
+        let main, derived = stratum rules (base_of_store store) in
+        (None, main, derived)
+    | _ ->
+        let stage, stage_derived = stratum staged_rules (base_of_store store) in
+        if Lsdb_exec.Governor.is_tripped gov then
+          (* The budget tripped inside the inversion stratum. Running the
+             main stratum now would only trip at its first checkpoint —
+             at one shard after loading a whole index copy, so a wall
+             deadline would lose twice the budget to loads alone. Adopt
+             the stage as the partial result instead: it sees every base
+             fact plus whatever inversions landed, the cache is flagged
+             partial and discarded at the next governor transition, and
+             retraction on it stays sound because delete/rederive follows
+             recorded provenance, not the rule list. *)
+          (None, stage, stage_derived)
+        else
+          let main, main_derived = stratum rules (base_of_stage stage) in
+          (Some stage, main, stage_derived @ main_derived)
+  in
+  {
+    store;
+    stage;
+    main;
+    view = D.Sharded.view main;
+    staged_rules;
+    rules;
+    actives = None;
+    derived_segments = [ derived ];
+    derived_listed = List.length derived;
+  }
+
+(* Rebuild the derivation-order record from the provenance tables,
+   dropping stale entries. O(listed entries), so it must not run on every
+   deletion — see [compact_derived]. *)
+let refilter_derived t =
+  t.derived_segments <-
+    List.filter_map
+      (fun seg ->
+        match List.filter (is_derived t) seg with [] -> None | seg -> Some seg)
+      t.derived_segments;
+  t.derived_listed <-
+    List.fold_left (fun n seg -> n + List.length seg) 0 t.derived_segments
+
+(* Amortization: only rewrite the segments once stale entries dominate,
+   so a retraction's bookkeeping cost is proportional to what it deleted,
+   not to the closure's total derived count. *)
+let compact_derived t =
+  if t.derived_listed > (2 * sum D.Sharded.derived_count t) + 1024 then
+    refilter_derived t
+
+let push_derived t facts =
+  if facts <> [] then begin
+    t.derived_segments <- facts :: t.derived_segments;
+    t.derived_listed <- t.derived_listed + List.length facts
+  end
+
+let extend ?pool ?gov t facts =
+  let staged =
+    match t.stage with
+    | Some stage -> D.Sharded.extend ?pool ?gov t.staged_rules stage facts
+    | None -> facts
+  in
+  (* [added] lists what the main stratum did not see before: stage
+     consequences new to it and its own derivations, in order. A fact the
+     main stratum had derived and the stage now derives changes owner; it
+     is not in [added] and its older listing stays live through the
+     stage's provenance. *)
+  let added = D.Sharded.extend ?pool ?gov t.rules t.main staged in
+  push_derived t (List.filter (is_derived t) added);
+  compact_derived t;
+  t.actives <- None;
+  t
+
+(* Stage-first delete/rederive: facts the stage loses for good become the
+   deletions of the main stratum. The main stratum keeps no provenance
+   for stage facts, so its cone never reaches one the stage kept. *)
+let retract ?pool ?gov t facts =
+  let gone =
+    match t.stage with
+    | Some stage -> D.Sharded.retract ?pool ?gov t.staged_rules stage facts
+    | None -> facts
+  in
+  ignore (D.Sharded.retract ?pool ?gov t.rules t.main gone : D.Triple.t list);
+  t.actives <- None;
+  compact_derived t;
+  (* Retracted base facts that survived rederivation are derived now and
+     were never in the derivation-order record while base. *)
+  push_derived t (List.filter (is_derived t) facts);
+  t
+
+let support_size t = sum D.Sharded.support_size t
+
+(* Rule-set swap for the cheap rule-toggle paths: the caller has
+   established (via {!rule_counts} / {!closed_under}) that the closure's
+   content is already exactly what a recompute under the new rule set
+   would produce; only future extensions/retractions need the new set. *)
+let set_rules t ~staged_rules ~rules =
+  t.staged_rules <- staged_rules;
+  t.rules <- rules
+
+let closed_under t rules = D.Sharded.closed_under rules t.main
+let mem t fact = t.view.v_mem fact
+let cardinal t = D.Sharded.cardinal t.main
+
+(* Read from the store, not a shadow counter: an [extend] handed a
+   duplicate or a [retract] handed a non-member would drift a counter
+   adjusted by [List.length facts]. [Store.cardinal] is O(1). *)
+let base_cardinal t = Store.cardinal t.store
+
+let derived t =
+  List.concat_map (List.filter (is_derived t)) (List.rev t.derived_segments)
+
+let derived_count t = sum D.Sharded.derived_count t
 
 let provenance t fact =
-  match t with
-  | Single s -> Single.provenance s fact
-  | Sharded s -> Sharded_closure.provenance s fact
+  List.find_map
+    (fun s ->
+      Option.map
+        (fun { D.Engine.rule; premises } -> (rule, premises))
+        (D.Sharded.provenance s fact))
+    (List.rev (strata t))
 
-let rounds = function
-  | Single s -> Single.rounds s
-  | Sharded s -> Sharded_closure.rounds s
+let rounds t = sum D.Sharded.rounds t
 
-let rule_counts = function
-  | Single s -> Single.rule_counts s
-  | Sharded s -> Sharded_closure.rule_counts s
+let rule_counts t =
+  let counts = Hashtbl.create 16 in
+  let tally _ ({ rule; _ } : D.Engine.provenance) =
+    Hashtbl.replace counts rule
+      (1 + Option.value ~default:0 (Hashtbl.find_opt counts rule))
+  in
+  List.iter (D.Sharded.iter_provenance tally) (strata t);
+  Hashtbl.fold (fun rule n acc -> (rule, n) :: acc) counts []
+  |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
 
-let iter f = function
-  | Single s -> Single.iter f s
-  | Sharded s -> Sharded_closure.iter f s
+let iter f t = t.view.v_iter ~s:None ~r:None ~tgt:None f
+let to_seq t = D.Sharded.to_seq t.main
 
-let to_seq = function
-  | Single s -> Single.to_seq s
-  | Sharded s -> Sharded_closure.to_seq s
-
-let match_pattern t pat f =
-  match t with
-  | Single s -> Single.match_pattern s pat f
-  | Sharded s -> Sharded_closure.match_pattern s pat f
+let match_pattern t (pat : Store.pattern) f =
+  t.view.v_iter ~s:pat.s ~r:pat.r ~tgt:pat.t f
 
 let match_list t pat =
   let acc = ref [] in
@@ -423,20 +212,15 @@ let count_matches t pat =
   match_pattern t pat (fun _ -> incr n);
   !n
 
-let count_pattern t pat =
-  match t with
-  | Single s -> Single.count_pattern s pat
-  | Sharded s -> Sharded_closure.count_pattern s pat
+(* Exact O(1) selectivity probes: index ranges/postings net of
+   tombstones, plus exact store bucket sizes above one shard. These back
+   conjunct ordering in Eval.cost and frontier selection in
+   Composition. *)
+let count_pattern t (pat : Store.pattern) =
+  t.view.v_count ~s:pat.s ~r:pat.r ~tgt:pat.t
 
-let out_degree t e =
-  match t with
-  | Single s -> Single.out_degree s e
-  | Sharded s -> Sharded_closure.out_degree s e
-
-let in_degree t e =
-  match t with
-  | Single s -> Single.in_degree s e
-  | Sharded s -> Sharded_closure.in_degree s e
+let out_degree t e = t.view.v_count ~s:(Some e) ~r:None ~tgt:None
+let in_degree t e = t.view.v_count ~s:None ~r:None ~tgt:(Some e)
 
 exception Found
 
@@ -446,46 +230,57 @@ let exists_match t pat =
     false
   with Found -> true
 
-let active_entities = function
-  | Single s -> Single.active_entities s
-  | Sharded s -> Sharded_closure.active_entities s
+(* Entities of the facts the strata hold in their own indexes. At one
+   shard the main index holds the whole closure, so the table alone
+   answers (and enumerates in index order); above one shard it covers the
+   derived overlays and the store's refcount table answers for the base.
+   The cache mutates under read; concurrent readers (parallel retraction
+   waves) must force it from a single domain first — see
+   [prepare_readers]. *)
+let force_actives t =
+  match t.actives with
+  | Some table -> table
+  | None ->
+      let table = Hashtbl.create 256 in
+      let add (triple : D.Triple.t) =
+        Hashtbl.replace table triple.s ();
+        Hashtbl.replace table triple.r ();
+        Hashtbl.replace table triple.t ()
+      in
+      if D.Sharded.owns_input t.main then D.Sharded.iter_overlays add t.main
+      else List.iter (D.Sharded.iter_overlays add) (strata t);
+      t.actives <- Some table;
+      table
+
+let prepare_readers t = ignore (force_actives t)
 
 let entity_active t e =
-  match t with
-  | Single s -> Single.entity_active s e
-  | Sharded s -> Sharded_closure.entity_active s e
+  Hashtbl.mem (force_actives t) e || Store.entity_active t.store e
 
-let prepare_readers = function
-  | Single s -> Single.prepare_readers s
-  | Sharded s -> Sharded_closure.prepare_readers s
+let active_entities t =
+  let held = force_actives t in
+  if D.Sharded.owns_input t.main then Hashtbl.to_seq_keys held
+  else
+    Seq.append
+      (Store.active_entities t.store)
+      (Seq.filter
+         (fun e -> not (Store.entity_active t.store e))
+         (Hashtbl.to_seq_keys held))
 
 (** {1 Shard introspection} *)
 
-let shards = function
-  | Single _ -> 1
-  | Sharded s -> Sharded_closure.shards s
+let shards t = D.Shard.shards (D.Sharded.plan t.main)
 
-let overlay_cardinals = function
-  | Single s -> [| Single.derived_count s |]
-  | Sharded s -> Sharded_closure.overlay_cardinals s
+let overlay_cardinals t =
+  let cards = List.map D.Sharded.overlay_cardinals (strata t) in
+  Array.init (shards t) (fun i -> List.fold_left (fun n c -> n + c.(i)) 0 cards)
 
-let exchanged = function
-  | Single _ -> 0
-  | Sharded s -> Sharded_closure.exchanged s
+let exchanged t = sum D.Sharded.exchanged t
 
-let tier_stats = function
-  | Single s -> D.Index.tier_stats s.Single.result.D.Engine.index
-  | Sharded s -> Sharded_closure.tier_stats s
+let tier_stats t =
+  List.fold_left
+    (fun acc s -> D.Index.sum_stats acc (D.Sharded.tier_stats s))
+    D.Index.zero_stats (strata t)
 
-let reshard_hint = function
-  | Single _ -> None
-  | Sharded s -> Sharded_closure.reshard_hint s
-
-(* The sharded path has no single packed index to gallop over; callers
-   fall back to a hash semi-join over [match_pattern]. *)
-let intersect t h1 h2 emit =
-  match t with
-  | Single s ->
-      D.Index.intersect s.Single.result.D.Engine.index h1 h2 emit;
-      true
-  | Sharded _ -> false
+let reshard_hint t = List.find_map D.Sharded.reshard_hint (List.rev (strata t))
+let intersect t h1 h2 emit = D.Sharded.intersect t.main h1 h2 emit

@@ -24,58 +24,57 @@ exception Diverged of int
     unsoundness in the rules as printed that only shows up when they are
     actually executed (see DESIGN.md).
 
-    [shards] picks the implementation: [1] is the classic single-heap
-    path (each stratum copies its input into a private index); [> 1]
-    dispatches to {!Sharded_closure}, which evaluates {e through} the
-    store with hash-partitioned derived overlays and never copies the
-    base facts. Defaults to the store's own shard count
-    ({!Store.shards}), so a sharded heap automatically gets the sharded
-    closure. Content is identical either way; enumeration order is not
-    (compare canonically sorted). *)
+    Both strata are {!Lsdb_datalog.Sharded} evaluations, and the store's
+    shard count ({!Store.shards}) picks their layout. At one shard each
+    stratum bulk-loads its input (the stage: the store; the main stratum:
+    the stage's index) into its own packed index and derives into it, so
+    every read hits one index. Above one shard both strata read through
+    the store and keep only derived facts, in hash-partitioned overlays.
+    Content is identical at every shard count; enumeration and derivation
+    order are not (compare canonically sorted). [max_facts] bounds each
+    stratum for this closure's lifetime, maintenance included. *)
 val compute :
   ?max_facts:int ->
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   ?staged_rules:Lsdb_datalog.Rule.t list ->
-  ?shards:int ->
   rules:Lsdb_datalog.Rule.t list ->
   Store.t ->
   t
 
-(** [extend ?max_facts closure facts] incrementally maintains the closure
-    under insertion of base [facts]: the semi-naive fixpoint continues
-    from the new triples (through the same strata as [compute]), reusing
-    everything already derived. The closure is updated in place and also
-    returned. A fact asserted as base that the closure had previously
-    derived is demoted to base (its recorded derivation is dropped), so
-    that derived-ness always matches a from-scratch recompute.
+(** [extend closure facts] incrementally maintains the closure under
+    insertion of base [facts] (already added to the store): the
+    semi-naive fixpoint continues from the new triples through the same
+    strata as [compute], reusing everything already derived. The closure
+    is updated in place and also returned. A fact asserted as base that
+    the closure had previously derived is demoted to base (its recorded
+    derivation is dropped), so that derived-ness always matches a
+    from-scratch recompute.
 
     With [?pool] (here and in {!compute}/{!retract}), each semi-naive
-    round is sharded across the pool's domains; results are
-    byte-identical to the sequential path for any pool size.
+    round fans out across the pool's domains; results are byte-identical
+    to the sequential path for any pool size.
 
     With [?gov] (here and in {!compute}/{!retract}), the engine
     checkpoints the governor; on a trip the closure holds a consistent
     subset of the true fixpoint and must not be reused as if complete
-    (see {!Lsdb_datalog.Engine}). *)
+    (see {!Lsdb_datalog.Sharded}). *)
 val extend :
-  ?max_facts:int ->
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   t ->
   Fact.t list ->
   t
 
-(** [retract ?max_facts closure facts] incrementally maintains the
-    closure under deletion of base [facts], via delete/rederive
-    ({!Lsdb_datalog.Engine.retract}) run per stratum: the stage stratum
-    is retracted first and the facts it loses become the deletions of the
-    main stratum. The resulting fact set (and which facts count as
-    derived) is identical to a from-scratch {!compute} over the surviving
-    store; a retracted base fact that is still derivable stays in the
-    closure, as a derived fact. *)
+(** [retract closure facts] incrementally maintains the closure under
+    deletion of base [facts] (already removed from the store), via
+    delete/rederive ({!Lsdb_datalog.Sharded.retract}) run per stratum:
+    the stage stratum is retracted first and the facts it loses become
+    the deletions of the main stratum. The resulting fact set (and which
+    facts count as derived) is identical to a from-scratch {!compute}
+    over the surviving store; a retracted base fact that is still
+    derivable stays in the closure, as a derived fact. *)
 val retract :
-  ?max_facts:int ->
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   t ->
@@ -91,7 +90,10 @@ val support_size : t -> int
     established that the closure's current content is what [compute]
     under the new rule set would produce — e.g. a disabled rule with no
     recorded derivations ({!rule_counts}), or an enabled rule the closure
-    is already {!closed_under}. *)
+    is already {!closed_under}. A closure computed without staged rules
+    has no stage stratum, so staged rules set later are not applied: the
+    caller recomputes instead, as {!Database} does when inversion is
+    enabled. *)
 val set_rules :
   t -> staged_rules:Lsdb_datalog.Rule.t list -> rules:Lsdb_datalog.Rule.t list -> unit
 
@@ -102,7 +104,9 @@ val closed_under : t -> Lsdb_datalog.Rule.t list -> bool
 val mem : t -> Fact.t -> bool
 val cardinal : t -> int
 
-(** Number of base (stored) facts at computation time. *)
+(** Number of base (stored) facts: always [Store.cardinal] of the owning
+    store, so extending with a duplicate or retracting a non-member
+    cannot drift it. *)
 val base_cardinal : t -> int
 
 (** Derived (non-base) facts in derivation order. *)
@@ -131,8 +135,8 @@ val match_list : t -> Store.pattern -> Fact.t list
 val count_matches : t -> Store.pattern -> int
 
 (** [count_pattern t pat] — the number of closure facts matching [pat],
-    in O(1) (see {!Lsdb_datalog.Index.count}; exact on the single heap,
-    exact store buckets plus exact overlay postings when sharded).
+    in O(1) (see {!Lsdb_datalog.Index.count}; exact on one shard's index,
+    exact store buckets plus exact overlay postings above one shard).
     [count_matches] walks the candidates instead; this is the cheap
     probe for join ordering and frontier selection. *)
 val count_pattern : t -> Store.pattern -> int
@@ -158,32 +162,32 @@ val prepare_readers : t -> unit
 
 (** {1 Shard introspection (B20, shell [.stats])} *)
 
-(** Shard count of the live implementation ([1] = single-heap path). *)
+(** Shard count of the closure's layout. *)
 val shards : t -> int
 
-(** Live derived facts per shard (a single-element array on the
-    single-heap path) — the balance behind the imbalance gauge. *)
+(** Live derived facts per shard (one slot at one shard), stage and main
+    strata summed — the balance behind the imbalance gauge. *)
 val overlay_cardinals : t -> int array
 
 (** Cross-shard deltas routed at round barriers over this closure's
-    lifetime; [0] on the single-heap path. *)
+    lifetime; [0] at one shard. *)
 val exchanged : t -> int
 
-(** Frozen/delta posting-tier sizes of the closure's indexes (the one
-    full index on the single-heap path; all overlays of both strata when
-    sharded). *)
+(** Frozen/delta posting-tier sizes of the closure's indexes, summed over
+    both strata: at one shard each stratum's whole index, above one shard
+    their derived overlays. *)
 val tier_stats : t -> Lsdb_datalog.Index.tier_stats
 
 (** Reshard suggestion [(shard, permille, streak)] when the sharded
     imbalance gauge has pinned over threshold for several consecutive
-    fixpoints; [None] on the single-heap path or while balanced. *)
+    fixpoints; [None] at one shard or while balanced. *)
 val reshard_hint : t -> (int * int * int) option
 
 (** [intersect t h1 h2 emit] — gallop-intersect two posting paths of the
-    single-heap closure index, calling [emit] once per entity filling
-    both hinges' free position. [false] when this closure is sharded
-    (no single packed index to intersect — the caller falls back to a
-    hash semi-join over [match_pattern]). *)
+    closure's index, calling [emit] once per entity filling both hinges'
+    free position. [false] above one shard (no single packed index to
+    intersect — the caller falls back to a hash semi-join over
+    [match_pattern]). *)
 val intersect :
   t ->
   Lsdb_datalog.Index.hinge ->

@@ -98,9 +98,9 @@ let uid t = t.uid
 let generation t = t.generation
 let shards t = Store.shards t.store
 
-(* Re-partition the heap in place. The closure dispatcher keys off the
+(* Re-partition the heap in place. The closure's layout follows the
    store's shard count, so dropping the caches is all that's needed for
-   the next access to come up on the right implementation. *)
+   the next access to come up on the right one. *)
 let set_shards t n =
   let n = max 1 n in
   if n <> Store.shards t.store then begin
@@ -191,13 +191,11 @@ let flush_pending t closure =
     | `Insert ->
         t.extensions <- t.extensions + 1;
         ignore
-          (Closure.extend ~max_facts:t.max_facts ?pool:t.pool ?gov:t.governor
-             closure facts)
+          (Closure.extend ?pool:t.pool ?gov:t.governor closure facts)
     | `Retract ->
         t.retractions <- t.retractions + 1;
         ignore
-          (Closure.retract ~max_facts:t.max_facts ?pool:t.pool ?gov:t.governor
-             closure facts)
+          (Closure.retract ?pool:t.pool ?gov:t.governor closure facts)
   in
   let rec go kind batch = function
     | [] -> if batch <> [] then flush kind batch
@@ -375,8 +373,8 @@ let hinge_free (h : Index.hinge) (fact : Fact.t) =
   | Index.Via _ -> fact.Lsdb_datalog.Triple.r
 
 (* [intersect_join t h1 h2 emit]: every entity filling both hinges' free
-   position, once each. The eager single-heap path gallops the closure
-   index's packed postings directly; sharded and demand modes fall back
+   position, once each. The eager one-shard closure gallops its index's
+   packed postings directly; sharded and demand modes fall back
    to a hash semi-join over [closure_match] — enumerate the smaller
    hinge (by {!count_hint}) into a set, probe with the larger. Demand
    mode thereby issues exactly two pattern demands. *)

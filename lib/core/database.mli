@@ -220,7 +220,7 @@ val in_degree_hint : t -> Entity.t -> int
 
 (** [intersect_join t h1 h2 emit] — every entity that fills both hinges'
     free position (see {!Lsdb_datalog.Index.hinge}), exactly once each,
-    in unspecified order. On the eager single-heap path this gallops the
+    in unspecified order. On an eager one-shard closure this gallops the
     closure index's packed frozen postings plus delta cells; sharded and
     demand modes run a hash semi-join over {!closure_match}, enumerating
     the smaller hinge (by {!count_hint}) into a set and probing with the

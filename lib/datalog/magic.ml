@@ -116,7 +116,6 @@ type t = {
   rules : Rule.t array;
   max_facts : int;
   base : base_view;
-  owned : Index.t option;  (* Some when [create] built the base itself *)
   stage_cone : Index.t;  (* derived by staged rules; disjoint from base *)
   full_cone : Index.t;  (* derived by main rules; disjoint from the others *)
   stage_demanded : unit Triple.Tbl.t;
@@ -157,24 +156,13 @@ type t = {
 
 exception Diverged of int
 
-let view_of_index idx =
-  {
-    bv_iter = (fun ~s ~r ~tgt f -> Index.candidates idx ~s ~r ~tgt f);
-    bv_mem = (fun triple -> Index.mem idx triple);
-    bv_count = (fun ~s ~r ~tgt -> Index.count idx ~s ~r ~tgt);
-    bv_count_s = (fun e -> Index.count_s idx e);
-    bv_count_t = (fun e -> Index.count_t idx e);
-    bv_cardinal = (fun () -> Index.cardinal idx);
-  }
-
-let create_shared ?(max_facts = 10_000_000) ~staged_rules ~rules ?owned base =
+let create_shared ?(max_facts = 10_000_000) ~staged_rules ~rules base =
   let st =
     {
       staged_rules = Array.of_list staged_rules;
       rules = Array.of_list rules;
       max_facts;
       base;
-      owned;
       stage_cone = Index.create ();
       full_cone = Index.create ();
       stage_demanded = Triple.Tbl.create 64;
@@ -201,13 +189,6 @@ let create_shared ?(max_facts = 10_000_000) ~staged_rules ~rules ?owned base =
     }
   in
   st
-
-let create ?max_facts ?(size_hint = 1024) ~staged_rules ~rules base =
-  let idx = Index.create ~size_hint () in
-  (* Bulk load: on the virgin index this builds the packed segment in
-     one sort instead of per-fact posting inserts. *)
-  ignore (Index.bulk_add idx (Array.of_seq base) : Triple.t list);
-  create_shared ?max_facts ~staged_rules ~rules ~owned:idx (view_of_index idx)
 
 let table st = function Stage -> st.stage_demanded | Full -> st.full_demanded
 
@@ -710,10 +691,9 @@ let drain_governed st =
      st.out <- []);
   (* The drain loop is single-threaded and buffers emissions between
      joins, so a completed (or abandoned) drain is a quiesce point for
-     the cones and the owned base. *)
+     the cones. *)
   Index.quiesce st.stage_cone;
-  Index.quiesce st.full_cone;
-  match st.owned with Some idx -> Index.quiesce idx | None -> ()
+  Index.quiesce st.full_cone
 
 (* --- the external goal API ------------------------------------------- *)
 
@@ -771,73 +751,59 @@ let entity_occurs st e =
 (* --- incremental maintenance ----------------------------------------- *)
 
 let insert st triple =
-  (* With a shared base the caller has already added the fact to it (and
-     only calls on a genuinely new fact), so the pre-insert views are
-     reconstructed from the cones alone. *)
-  let was_base =
-    match st.owned with Some idx -> Index.mem idx triple | None -> false
-  in
-  let in_stage_view = was_base || Index.mem st.stage_cone triple in
+  (* The caller has already added the fact to the base (and only calls on
+     a genuinely new fact), so the pre-insert views are reconstructed from
+     the cones alone. *)
+  let in_stage_view = Index.mem st.stage_cone triple in
   let in_full_view = in_stage_view || Index.mem st.full_cone triple in
   (* A cone fact asserted as base is demoted: same fact set, but it no
      longer depends on its premises. *)
   if Index.remove st.stage_cone triple then forget_prov st triple;
   if Index.remove st.full_cone triple then forget_prov st triple;
-  let added =
-    match st.owned with Some idx -> Index.add idx triple | None -> not was_base
-  in
-  if added then begin
-    check_diverged st;
-    if not in_stage_view then push_delta st Stage triple;
-    if not in_full_view then push_delta st Full triple;
-    drain_governed st
-  end
+  check_diverged st;
+  if not in_stage_view then push_delta st Stage triple;
+  if not in_full_view then push_delta st Full triple;
+  drain_governed st
 
 let retract st triple =
-  (* With a shared base the caller has already removed the fact (and only
+  (* The caller has already removed the fact from the base (and only
      calls when the removal really happened). *)
-  let was_base =
-    match st.owned with Some idx -> Index.mem idx triple | None -> true
+  let support = force_support st in
+  (* Over-delete the cone: every fact whose recorded derivation
+     transitively rests on [triple]. Recorded derivations are
+     well-founded, so everything outside the cone stays derivable. *)
+  let doomed = ref [] in
+  let seen = Triple.Tbl.create 16 in
+  let rec visit fact =
+    match Triple.Tbl.find_opt support.deps fact with
+    | None -> ()
+    | Some cell ->
+        let dependents = Triple.Tbl.fold (fun d () acc -> d :: acc) cell [] in
+        List.iter
+          (fun d ->
+            if not (Triple.Tbl.mem seen d) then begin
+              Triple.Tbl.add seen d ();
+              doomed := d :: !doomed;
+              visit d
+            end)
+          dependents
   in
-  if was_base then begin
-    let support = force_support st in
-    (* Over-delete the cone: every fact whose recorded derivation
-       transitively rests on [triple]. Recorded derivations are
-       well-founded, so everything outside the cone stays derivable. *)
-    let doomed = ref [] in
-    let seen = Triple.Tbl.create 16 in
-    let rec visit fact =
-      match Triple.Tbl.find_opt support.deps fact with
-      | None -> ()
-      | Some cell ->
-          let dependents = Triple.Tbl.fold (fun d () acc -> d :: acc) cell [] in
-          List.iter
-            (fun d ->
-              if not (Triple.Tbl.mem seen d) then begin
-                Triple.Tbl.add seen d ();
-                doomed := d :: !doomed;
-                visit d
-              end)
-            dependents
-    in
-    visit triple;
-    List.iter
-      (fun d ->
-        ignore (Index.remove st.stage_cone d);
-        ignore (Index.remove st.full_cone d);
-        forget_prov st d)
-      !doomed;
-    (match st.owned with Some idx -> ignore (Index.remove idx triple) | None -> ());
-    (* Rederive: re-run every seeded activation so over-deleted survivors
-       — and the retracted fact itself, when still derivable — are
-       restored. *)
-    let requeue act =
-      Hashtbl.iter (fun tuple () -> Queue.add (act, tuple) st.pending_acts) act.magic
-    in
-    List.iter requeue st.acts_stage;
-    List.iter requeue st.acts_full;
-    drain_governed st
-  end
+  visit triple;
+  List.iter
+    (fun d ->
+      ignore (Index.remove st.stage_cone d);
+      ignore (Index.remove st.full_cone d);
+      forget_prov st d)
+    !doomed;
+  (* Rederive: re-run every seeded activation so over-deleted survivors
+     — and the retracted fact itself, when still derivable — are
+     restored. *)
+  let requeue act =
+    Hashtbl.iter (fun tuple () -> Queue.add (act, tuple) st.pending_acts) act.magic
+  in
+  List.iter requeue st.acts_stage;
+  List.iter requeue st.acts_full;
+  drain_governed st
 
 let stats st =
   {
@@ -853,7 +819,4 @@ let stats st =
   }
 
 let tier_stats st =
-  let acc = Index.sum_stats (Index.tier_stats st.stage_cone) (Index.tier_stats st.full_cone) in
-  match st.owned with
-  | Some idx -> Index.sum_stats acc (Index.tier_stats idx)
-  | None -> acc
+  Index.sum_stats (Index.tier_stats st.stage_cone) (Index.tier_stats st.full_cone)

@@ -2,7 +2,7 @@
     triple rules, evaluated semi-naively over the existing {!Index}
     machinery.
 
-    Where {!Engine.closure} saturates the whole fact set up front, a
+    Where {!Sharded.closure} saturates the whole fact set up front, a
     {!t} starts from the base facts alone and derives only the {e cone}
     a goal can touch: {!demand} seeds a magic predicate from the goal's
     bound arguments (the demanded pattern), unifies it with rule heads
@@ -62,26 +62,15 @@ type stats = {
   deltas : int;  (** delta triples fed through activation joins *)
 }
 
-(** [create ?max_facts ~staged_rules ~rules base] copies the base facts
-    into a private index; nothing is derived until the first {!demand}. *)
-val create :
-  ?max_facts:int ->
-  ?size_hint:int ->
-  staged_rules:Rule.t list ->
-  rules:Rule.t list ->
-  Triple.t Seq.t ->
-  t
-
 (** [create_shared ~staged_rules ~rules view] evaluates directly over
-    [view] — no copy, O(1) setup. The caller owns the base: {!insert}
-    must be called after (and only after) a new fact entered the view,
-    {!retract} after (and only after) one left it. [?owned] is internal
-    plumbing for {!create}. *)
+    [view] — no copy, O(1) setup; nothing is derived until the first
+    {!demand}. The caller owns the base: {!insert} must be called after
+    (and only after) a new fact entered the view, {!retract} after (and
+    only after) one left it. *)
 val create_shared :
   ?max_facts:int ->
   staged_rules:Rule.t list ->
   rules:Rule.t list ->
-  ?owned:Index.t ->
   base_view ->
   t
 
@@ -112,15 +101,15 @@ val entity_occurs : t -> int -> bool
 
 (** [insert t triple] adds a base fact and extends every demanded cone
     it reaches (semi-naive, the fact entering as a delta). A cone fact
-    asserted as base is demoted to base. On a {!create_shared} state the
-    fact must already be in the view. *)
+    asserted as base is demoted to base. The fact must already be in the
+    view. *)
 val insert : t -> Triple.t -> unit
 
 (** [retract t triple] removes a base fact: the cone facts whose
     recorded derivation transitively rests on it are over-deleted, then
     every activation re-runs so survivors (including the retracted fact
-    itself, if derivable) are restored. On a {!create_shared} state the
-    fact must already be gone from the view. *)
+    itself, if derivable) are restored. The fact must already be gone
+    from the view. *)
 val retract : t -> Triple.t -> unit
 
 val cone_cardinal : t -> int

@@ -4,23 +4,58 @@ module Metrics = Lsdb_obs.Metrics
 module Trace = Lsdb_obs.Trace
 
 type base = {
+  b_seq : unit -> Triple.t Seq.t;
   b_iter : s:int option -> r:int option -> tgt:int option -> (Triple.t -> unit) -> unit;
   b_mem : Triple.t -> bool;
   b_count : s:int option -> r:int option -> tgt:int option -> int;
   b_cardinal : unit -> int;
 }
 
-exception Diverged = Engine.Diverged
+exception Diverged of int
 
-(* Observability: sharded evaluation has its own counters next to the
-   engine's so the two code paths can be compared from /metrics. *)
+(* Observability handles, registered once at module initialization. The
+   closure counters keep their [lsdb_engine_*] names: this stratum is the
+   one engine at every shard count. *)
 let m_rounds =
-  Metrics.counter ~help:"Sharded closure rounds executed"
-    "lsdb_sharded_rounds_total"
+  Metrics.counter ~help:"Semi-naive closure rounds executed"
+    "lsdb_engine_closure_rounds_total"
+
+let m_delta =
+  Metrics.counter ~help:"Delta triples fed into closure rounds"
+    "lsdb_engine_delta_triples_total"
 
 let m_derived =
-  Metrics.counter ~help:"Triples derived by sharded rounds"
-    "lsdb_sharded_derived_triples_total"
+  Metrics.counter ~help:"Triples derived by closure rounds"
+    "lsdb_engine_derived_triples_total"
+
+let m_closures =
+  Metrics.counter ~help:"Full closure computations" "lsdb_engine_closures_total"
+
+let m_extends =
+  Metrics.counter ~help:"Incremental extensions" "lsdb_engine_extends_total"
+
+let m_retracts =
+  Metrics.counter ~help:"Incremental retractions" "lsdb_engine_retracts_total"
+
+let m_cone =
+  Metrics.counter ~help:"Over-deleted cone facts across retractions"
+    "lsdb_engine_retract_cone_facts_total"
+
+let m_rederive_checks =
+  Metrics.counter ~help:"Single-fact rederivation checks during retractions"
+    "lsdb_engine_rederive_checks_total"
+
+let m_restored =
+  Metrics.counter ~help:"Cone facts restored by rederivation"
+    "lsdb_engine_restored_facts_total"
+
+let m_round_seconds =
+  Metrics.histogram ~help:"Wall-clock seconds per closure round"
+    "lsdb_engine_round_seconds"
+
+let m_retract_seconds =
+  Metrics.histogram ~help:"Wall-clock seconds per retraction (all phases)"
+    "lsdb_engine_retract_seconds"
 
 let m_exchanged =
   Metrics.counter
@@ -38,9 +73,6 @@ let m_imbalance =
       "Largest overlay over mean overlay cardinal, per-mille (1000 = balanced)"
     "lsdb_sharded_imbalance_permille"
 
-let m_retracts =
-  Metrics.counter ~help:"Sharded retractions" "lsdb_sharded_retracts_total"
-
 let m_lane_rounds =
   Metrics.counter
     ~help:"Closure rounds fanned out to persistent per-shard lanes"
@@ -51,8 +83,9 @@ let m_solo_rounds =
     ~help:"Closure rounds evaluated inline on the caller lane"
     "lsdb_sharded_solo_rounds_total"
 
-(* Same shape as the engine's support index: premise ↦ facts whose
-   recorded derivation uses it, built lazily by the first retraction. *)
+(* The support index inverts the provenance table: premise ↦ the facts
+   whose recorded derivation uses it. Built lazily by the first
+   retraction, maintained incrementally afterwards. *)
 type support = {
   deps : unit Triple.Tbl.t Triple.Tbl.t;
   mutable edges : int;
@@ -61,13 +94,16 @@ type support = {
 type t = {
   plan : Shard.plan;
   base : base;
-  overlays : Index.t array;  (* derived facts, routed by source owner *)
+  (* One index per shard. At one shard the stratum copies its input into
+     [overlays.(0)] and derives into the same index; above one shard it
+     reads its input through [base] and each overlay holds the derived
+     facts routed to its shard by source owner. *)
+  overlays : Index.t array;
   shard_derived : Metrics.counter array;
   lane_delta : Metrics.counter array;  (* delta triples evaluated per lane *)
   provenance : Engine.provenance Triple.Tbl.t;
   mutable support : support option;
   mutable rounds : int;
-  mutable derived_total : int;  (* live overlay facts, all shards *)
   mutable exchanged : int;
   max_facts : int;
   (* Reshard-hint state: how many consecutive imbalance observations
@@ -98,7 +134,6 @@ let create ?(max_facts = 10_000_000) ~plan base =
     provenance = Triple.Tbl.create 256;
     support = None;
     rounds = 0;
-    derived_total = 0;
     exchanged = 0;
     max_facts;
     hot_streak = 0;
@@ -108,55 +143,73 @@ let create ?(max_facts = 10_000_000) ~plan base =
 let plan t = t.plan
 let owner t (triple : Triple.t) = Shard.of_entity t.plan triple.s
 
-(* The union view. Overlays are disjoint from the base by construction
-   ([add_overlay] refuses anything already visible), so cardinals and
-   counts are sums and iteration never yields a fact twice. *)
+(* The layout follows the plan: one shard owns a copy of its input, so
+   every probe hits one packed index (what joins, galloping intersection
+   and per-insert scans want); more shards read through the base, which
+   spares a million-fact heap the copy. *)
+let owns_input t = Array.length t.overlays = 1
+
+(* The union view. Above one shard the overlays are disjoint from the
+   base by construction ([admit] refuses anything already visible), so
+   cardinals and counts are sums and iteration never yields a fact
+   twice. *)
 let view t : Engine.view =
-  let nsh = Array.length t.overlays in
-  {
-    v_mem =
-      (fun triple ->
-        t.base.b_mem triple
-        || Index.mem t.overlays.(Shard.of_entity t.plan triple.s) triple);
-    v_iter =
-      (fun ~s ~r ~tgt f ->
-        t.base.b_iter ~s ~r ~tgt f;
-        match s with
-        | Some s -> Index.candidates t.overlays.(Shard.of_entity t.plan s) ~s:(Some s) ~r ~tgt f
-        | None ->
-            for i = 0 to nsh - 1 do
-              Index.candidates t.overlays.(i) ~s ~r ~tgt f
-            done);
-    v_count =
-      (fun ~s ~r ~tgt ->
-        let base = t.base.b_count ~s ~r ~tgt in
-        match s with
-        | Some e -> base + Index.count t.overlays.(Shard.of_entity t.plan e) ~s ~r ~tgt
-        | None ->
-            let n = ref base in
-            for i = 0 to nsh - 1 do
-              n := !n + Index.count t.overlays.(i) ~s ~r ~tgt
-            done;
-            !n);
-  }
+  if owns_input t then Engine.view_of_index t.overlays.(0)
+  else
+    let nsh = Array.length t.overlays in
+    {
+      v_mem =
+        (fun triple ->
+          t.base.b_mem triple
+          || Index.mem t.overlays.(Shard.of_entity t.plan triple.s) triple);
+      v_iter =
+        (fun ~s ~r ~tgt f ->
+          t.base.b_iter ~s ~r ~tgt f;
+          match s with
+          | Some s -> Index.candidates t.overlays.(Shard.of_entity t.plan s) ~s:(Some s) ~r ~tgt f
+          | None ->
+              for i = 0 to nsh - 1 do
+                Index.candidates t.overlays.(i) ~s ~r ~tgt f
+              done);
+      v_count =
+        (fun ~s ~r ~tgt ->
+          let base = t.base.b_count ~s ~r ~tgt in
+          match s with
+          | Some e -> base + Index.count t.overlays.(Shard.of_entity t.plan e) ~s ~r ~tgt
+          | None ->
+              let n = ref base in
+              for i = 0 to nsh - 1 do
+                n := !n + Index.count t.overlays.(i) ~s ~r ~tgt
+              done;
+              !n);
+    }
 
 let mem t triple =
-  t.base.b_mem triple || Index.mem t.overlays.(owner t triple) triple
+  Index.mem t.overlays.(owner t triple) triple
+  || ((not (owns_input t)) && t.base.b_mem triple)
 
-let cardinal t = t.base.b_cardinal () + t.derived_total
+let cardinal t =
+  let held = Array.fold_left (fun n o -> n + Index.cardinal o) 0 t.overlays in
+  if owns_input t then held else t.base.b_cardinal () + held
+
 let derived_count t = Triple.Tbl.length t.provenance
 let is_derived t triple = Triple.Tbl.mem t.provenance triple
 let provenance t triple = Triple.Tbl.find_opt t.provenance triple
 let iter_provenance f t = Triple.Tbl.iter f t.provenance
 let iter_overlays f t = Array.iter (Index.iter f) t.overlays
 
-let overlays_to_seq t =
-  Seq.concat_map Index.to_seq (Array.to_seq t.overlays)
+let to_seq t =
+  let overlays = Seq.concat_map Index.to_seq (Array.to_seq t.overlays) in
+  if owns_input t then overlays else Seq.append (t.base.b_seq ()) overlays
+
 let rounds t = t.rounds
 let exchanged t = t.exchanged
-let overlay_cardinals t = Array.map Index.cardinal t.overlays
 
-(* --- support-index maintenance (mirrors Engine's) ------------------- *)
+let overlay_cardinals t =
+  if owns_input t then [| derived_count t |]
+  else Array.map Index.cardinal t.overlays
+
+(* --- support-index maintenance ---------------------------------------- *)
 
 let support_add support fact ({ premises; _ } : Engine.provenance) =
   List.iter
@@ -188,6 +241,9 @@ let support_drop support fact ({ premises; _ } : Engine.provenance) =
           end)
     premises
 
+(* [record_provenance] and [forget_provenance] are the only writes to the
+   provenance table: they keep the support index (if built) in sync with
+   the recorded derivations. *)
 let record_provenance t fact prov =
   (match t.support with
   | Some support -> (
@@ -219,24 +275,25 @@ let force_support t =
 let support_size t =
   match t.support with Some { edges; _ } -> edges | None -> 0
 
-(* --- overlay mutation ------------------------------------------------ *)
+(* --- index mutation ---------------------------------------------------- *)
 
-(* Admission to an overlay preserves the disjointness invariant: a fact
-   already visible anywhere in the union (base or any overlay) is
-   refused, so the union is a set and [cardinal] is a sum. *)
-let add_overlay t ~view:(v : Engine.view) triple =
-  if v.v_mem triple then false
-  else begin
-    ignore (Index.add t.overlays.(owner t triple) triple : bool);
-    t.derived_total <- t.derived_total + 1;
-    true
-  end
+(* Admit a derived fact unless it is already visible. Above one shard the
+   check runs against the whole union, keeping the overlays disjoint from
+   the base and from each other. *)
+let admit t ~view:(v : Engine.view) triple =
+  (owns_input t || not (v.v_mem triple))
+  && Index.add t.overlays.(owner t triple) triple
 
-let demote t triple =
-  let removed = Index.remove t.overlays.(owner t triple) triple in
-  if removed then t.derived_total <- t.derived_total - 1;
-  forget_provenance t triple;
-  removed
+(* Take a fact the caller just added to the stratum's input: copied in at
+   one shard, already visible through the base above. [true] iff the
+   stratum did not hold it as input before. *)
+let take_input t triple =
+  if owns_input t then Index.add t.overlays.(0) triple else t.base.b_mem triple
+
+(* Drop a fact from the index holding it, with its recorded derivation. *)
+let drop t triple =
+  ignore (Index.remove t.overlays.(owner t triple) triple : bool);
+  forget_provenance t triple
 
 (* Imbalance above this (hottest overlay ≥ 1.5× the even share) counts
    as pinned; pinned for this many consecutive fixpoints raises the
@@ -273,7 +330,17 @@ let note_imbalance t =
 
 let reshard_hint t = t.hot_hint
 
-(* --- the sharded fixpoint -------------------------------------------- *)
+(* --- the semi-naive fixpoint --------------------------------------------- *)
+
+(* Split [arr] into [n] contiguous chunks, preserving order on
+   concatenation. *)
+let chunks_of n arr =
+  let len = Array.length arr in
+  let per = (len + n - 1) / n in
+  Array.init n (fun i ->
+      let lo = i * per in
+      let hi = min len (lo + per) in
+      Array.sub arr lo (max 0 (hi - lo)))
 
 (* Partition an ordered delta by owning shard; within a shard the slice
    keeps the delta's order, so the partition is deterministic and
@@ -291,34 +358,42 @@ let partition t triples =
     Array.map (fun l -> Array.of_list (List.rev l)) bufs
   end
 
-(* One barrier-separated round per iteration: evaluate each shard's
-   slice against the frozen union view — on persistent per-shard worker
-   lanes when the delta is wide enough to amortize the wake-up — then
-   merge rule-major / shard-major — the order a single evaluator would
-   emit — routing each accepted head to its owner's overlay. Lane [i] is
-   pinned to shard [i] for the whole fixpoint (lanes > pool size
-   multiplex deterministically, [Pool.lanes]); the round barrier at the
-   merge is the only synchronization point, so results are byte-identical
-   to the inline path at every (shards × domains) setting. Trip semantics
-   are the engine's: a [Governor.Trip] raised from any lane (worker
-   domains checkpoint through the same governor atomics) surfaces on the
-   caller after the barrier, and the catch leaves the overlays and
-   provenance as of the last completed barrier action. *)
-let fixpoint ?pool ?gov t rules ~record initial =
+(* One barrier-separated round per iteration. Every rule application in a
+   round reads the union view as of the round start ({!Engine.round_view}
+   is read-only), so the round's slices can be evaluated anywhere:
+   - at one shard, with a pool, the delta fans out in contiguous chunks
+     of at least 32 facts (below that the join work cannot amortize the
+     fan-out);
+   - above one shard, each shard's slice evaluates on a persistent
+     per-shard worker lane when more than one slice is non-empty and the
+     delta is wide enough to amortize the wake-up (a skewed delta
+     concentrated in one slice — Zipf heads do this constantly — stays on
+     the caller). Lane [i] is pinned to shard [i] for the whole fixpoint;
+     lanes beyond the pool size multiplex deterministically
+     ({!Pool.lanes}).
+   The barrier then merges the emissions rule-major then slice-major — the
+   stream a single evaluator would emit — and admits each head into its
+   owner's index, recording its provenance. The barrier is the only
+   synchronization point, so for a fixed shard count the result (fact
+   set, derivation order, provenance, rounds) is identical at every pool
+   size. A [Governor.Trip] raised from any lane surfaces on the caller
+   after the barrier, and the catch leaves the indexes and provenance as
+   of the last completed barrier action: a consistent, sound subset. *)
+let fixpoint ?pool ?gov t rules seeds =
   let rules_arr = Array.of_list rules in
   let fullv = view t in
+  let nsh = Array.length t.overlays in
   let derived_rev = ref [] in
   let rounds = ref 0 in
-  let delta = ref (partition t initial) in
+  let delta = ref (partition t seeds) in
   let total_delta deltas = Array.fold_left (fun n a -> n + Array.length a) 0 deltas in
   let nonempty_slices deltas =
     Array.fold_left (fun n a -> if Array.length a > 0 then n + 1 else n) 0 deltas
   in
-  let nsh = Array.length t.overlays in
+  let round = Engine.round_view ?gov rules_arr ~full:fullv in
   (* Lanes are created on the first round wide enough to fan out and
-     reused for every later round of this fixpoint — the whole point of
-     persistence: one wake-up negotiation per round instead of a queue
-     round-trip per shard per round. *)
+     reused for every later round of this fixpoint: one wake-up
+     negotiation per round instead of a queue round-trip per shard. *)
   let lanes = ref None in
   let lanes_for pool =
     match !lanes with
@@ -332,26 +407,23 @@ let fixpoint ?pool ?gov t rules ~record initial =
   @@ fun () ->
   (try
      while total_delta !delta > 0 do
+       let width = total_delta !delta in
        incr rounds;
        Governor.check gov;
        Metrics.incr m_rounds;
-       Trace.span "sharded.round"
-         ~meta:
-           [
-             ("round", string_of_int !rounds);
-             ("delta", string_of_int (total_delta !delta));
-           ]
+       Metrics.add m_delta width;
+       Trace.span "closure.round"
+         ~meta:[ ("round", string_of_int !rounds); ("delta", string_of_int width) ]
        @@ fun () ->
-       let shard_results =
+       Metrics.time m_round_seconds @@ fun () ->
+       let slice_results =
          match pool with
+         | Some pool when nsh = 1 && Pool.size pool > 1 && width > 1 ->
+             let nchunks = min (Pool.size pool) (max 1 ((width + 31) / 32)) in
+             if nchunks = 1 then [| round !delta.(0) |]
+             else Pool.map_array pool round (chunks_of nchunks !delta.(0))
          | Some pool
-           when Pool.size pool > 1
-                (* A skewed delta concentrated in one slice (Zipf heads
-                   do this constantly) gains nothing from a fan-out:
-                   every other lane would evaluate an empty slice while
-                   the caller waits at the barrier. *)
-                && nonempty_slices !delta > 1
-                && total_delta !delta > 32 ->
+           when Pool.size pool > 1 && nonempty_slices !delta > 1 && width > 32 ->
              let lg = lanes_for pool in
              let out = Array.make nsh [||] in
              Metrics.incr m_lane_rounds;
@@ -359,13 +431,12 @@ let fixpoint ?pool ?gov t rules ~record initial =
                  let slice = !delta.(i) in
                  if Array.length slice > 0 then
                    Metrics.add t.lane_delta.(i) (Array.length slice);
-                 out.(i) <- Engine.round_view ?gov rules_arr ~full:fullv slice);
+                 out.(i) <- round slice);
              out
          | _ ->
              Metrics.incr m_solo_rounds;
-             Array.map (Engine.round_view ?gov rules_arr ~full:fullv) !delta
+             Array.map round !delta
        in
-       let nsh = Array.length t.overlays in
        let next = Array.make nsh [] in
        let crossed = ref 0 in
        let accepted = ref 0 in
@@ -375,9 +446,9 @@ let fixpoint ?pool ?gov t rules ~record initial =
              (fun si buffers ->
                List.iter
                  (fun (triple, premises) ->
-                   let o = owner t triple in
-                   if add_overlay t ~view:fullv triple then begin
-                     if o <> si then begin
+                   if admit t ~view:fullv triple then begin
+                     let o = owner t triple in
+                     if nsh > 1 && o <> si then begin
                        t.exchanged <- t.exchanged + 1;
                        incr crossed
                      end;
@@ -386,19 +457,25 @@ let fixpoint ?pool ?gov t rules ~record initial =
                      if cardinal t > t.max_facts then raise (Diverged (cardinal t));
                      derived_rev := triple :: !derived_rev;
                      next.(o) <- triple :: next.(o);
-                     record triple { Engine.rule = rule.name; premises };
+                     record_provenance t triple { Engine.rule = rule.name; premises };
+                     (* After the record: the fact that trips the budget
+                        is fully accounted for, so the partial state stays
+                        consistent. *)
                      Governor.count_facts gov 1
                    end)
                  buffers.(ri))
-             shard_results)
+             slice_results)
          rules_arr;
        Metrics.add m_derived !accepted;
-       Metrics.add m_exchanged !crossed;
-       if Array.length t.overlays > 1 then
-         Metrics.observe m_exchange_batch (float_of_int !crossed);
+       Trace.annotate "derived" (string_of_int !accepted);
+       if nsh > 1 then begin
+         Metrics.add m_exchanged !crossed;
+         Metrics.observe m_exchange_batch (float_of_int !crossed)
+       end;
        delta := Array.map (fun l -> Array.of_list (List.rev l)) next;
-       (* Round barrier: lanes are parked, nothing reads the overlays —
-          quiesce each one so hot overlays migrate to packed segments. *)
+       (* Round barrier: lanes are parked, nothing reads the indexes —
+          the natural quiesce point for folding delta tiers into packed
+          segments. *)
        Array.iter Index.quiesce t.overlays
      done
    with Governor.Trip _ -> ());
@@ -406,67 +483,73 @@ let fixpoint ?pool ?gov t rules ~record initial =
   note_imbalance t;
   List.rev !derived_rev
 
-let closure ?pool ?gov rules t initial =
-  Trace.span "sharded.closure" @@ fun () ->
-  (* The base is already loaded — that is the point: the initial delta
-     is just an enumeration, nothing is copied into a fresh index. *)
-  let initial =
-    try
-      let acc = ref [] in
-      let loaded = ref 0 in
-      Seq.iter
-        (fun triple ->
-          incr loaded;
-          if !loaded land 1023 = 0 then Governor.check gov;
-          acc := triple :: !acc)
-        initial;
-      List.rev !acc
-    with Governor.Trip _ -> []
+let closure ?pool ?gov rules t =
+  Metrics.incr m_closures;
+  Trace.span "engine.closure" @@ fun () ->
+  (* The input is materialized under the governor's checkpoints: on large
+     heaps the enumeration (and, at one shard, the index build) can dwarf
+     a wall deadline, and a prefix of the input is still a subset of the
+     true closure. A trip here also makes the first round trip at once,
+     so nothing is derived from the partial input. *)
+  let buf = ref [] and n = ref 0 in
+  (try
+     Seq.iter
+       (fun triple ->
+         buf := triple :: !buf;
+         incr n;
+         if !n land 1023 = 0 then Governor.check gov)
+       (t.base.b_seq ())
+   with Governor.Trip _ -> ());
+  let arr = Array.make !n (Triple.make 0 0 0) in
+  List.iteri (fun i triple -> arr.(!n - 1 - i) <- triple) !buf;
+  buf := [];
+  (* At one shard the input is bulk-loaded: on the virgin index
+     [Index.bulk_add] sorts once and builds the packed segment directly,
+     returning the distinct facts in input order. Above one shard the
+     input is already visible through the base; it only seeds. *)
+  let seeds =
+    if owns_input t then Index.bulk_add t.overlays.(0) arr else Array.to_list arr
   in
-  fixpoint ?pool ?gov t rules ~record:(record_provenance t) initial
+  fixpoint ?pool ?gov t rules seeds
 
 let extend ?pool ?gov rules t extras =
-  Trace.span "sharded.extend" @@ fun () ->
-  (* Demote first: a fact asserted as base that the stratum had derived
-     keeps its visibility through the base tier; its overlay copy (and
-     recorded derivation) must go or the union would double-count. Its
-     consequences are already derived, so it does not seed. *)
+  Metrics.incr m_extends;
+  Trace.span "engine.extend" @@ fun () ->
+  (* A fact the stratum had derived and now takes as input stops being
+     derived: a from-scratch recompute records no derivation for input
+     facts, and retraction must never delete one just because its former
+     premises went away. Its consequences are already derived, so it
+     does not seed. *)
   let seeds =
     List.filter
       (fun triple ->
         let was_derived = is_derived t triple in
-        if was_derived then ignore (demote t triple : bool);
-        (not was_derived) && t.base.b_mem triple)
+        if was_derived then drop t triple;
+        take_input t triple && not was_derived)
       extras
   in
-  fixpoint ?pool ?gov t rules ~record:(record_provenance t) seeds
+  let derived = fixpoint ?pool ?gov t rules seeds in
+  Array.iter Index.quiesce t.overlays;
+  seeds @ derived
 
-type retraction = {
-  removed : Triple.t list;
-  restored : Triple.t list;
-  over_deleted : int;
-  rederive_rounds : int;
-}
-
-(* Chunk an array for pool mapping, preserving order on concatenation. *)
-let chunks_of n arr =
-  let len = Array.length arr in
-  let per = (len + n - 1) / n in
-  Array.init n (fun i ->
-      let lo = i * per in
-      let hi = min len (lo + per) in
-      Array.sub arr lo (max 0 (hi - lo)))
-
-(* Delete/rederive with the engine's phase structure. The deleted base
-   facts are {e already} invisible (the caller mutated the base heap
-   before telling us), so they enter the cone unconditionally; cone
-   members still visible through the base tier need no restoration and
-   are skipped by the rederive checks. *)
+(* Delete/rederive. Phase 1 walks the support index to collect the cone
+   of facts whose recorded derivation transitively rests on a deleted
+   fact (the over-deletion: a fact may have other derivations — recorded
+   provenance keeps only one, so the cone is a superset of what must
+   go). Phase 2 drops the cone. Phase 3 re-checks each cone fact against
+   the surviving view for an alternative one-step derivation (chunked
+   across the pool; read-only, so no barrier is needed until the seeds
+   are merged in deterministic cone order). Phase 4 runs the ordinary
+   fixpoint from those seeds, restoring everything reachable again. The
+   rules are monotone and the view is a subset of the old closure
+   throughout, so rederivation can only restore cone members — the final
+   fact set equals a from-scratch recompute, at any pool size. *)
 let retract ?pool ?gov rules t deleted =
   Metrics.incr m_retracts;
-  Trace.span "sharded.retract"
+  Trace.span "engine.retract"
     ~meta:[ ("deleted", string_of_int (List.length deleted)) ]
   @@ fun () ->
+  Metrics.time m_retract_seconds @@ fun () ->
   let support = force_support t in
   let cone = Triple.Tbl.create 64 in
   let stack = Stack.create () in
@@ -476,7 +559,12 @@ let retract ?pool ?gov rules t deleted =
       Stack.push fact stack
     end
   in
-  List.iter enter deleted;
+  (* At one shard the deleted input facts are still in the stratum's own
+     index, so only members enter; above one shard the caller already
+     removed them from the base, so they enter unconditionally. *)
+  List.iter
+    (fun fact -> if (not (owns_input t)) || Index.mem t.overlays.(0) fact then enter fact)
+    deleted;
   while not (Stack.is_empty stack) do
     let fact = Stack.pop stack in
     match Triple.Tbl.find_opt support.deps fact with
@@ -486,24 +574,33 @@ let retract ?pool ?gov rules t deleted =
   let cone_list =
     List.sort Triple.compare (Triple.Tbl.fold (fun f () acc -> f :: acc) cone [])
   in
-  List.iter (fun fact -> ignore (demote t fact : bool)) cone_list;
+  List.iter (drop t) cone_list;
   let cone_arr = Array.of_list cone_list in
+  Metrics.add m_cone (Array.length cone_arr);
+  Metrics.add m_rederive_checks (Array.length cone_arr);
+  Trace.annotate "cone" (string_of_int (Array.length cone_arr));
   let fullv = view t in
   let check fact =
     Governor.tick gov 1;
+    (* A cone member still visible through the base needs no restoring. *)
     if fullv.v_mem fact then None
     else
       match Engine.find_derivation_view rules ~full:fullv fact with
       | Some prov -> Some (fact, prov)
       | None -> None
   in
-  (* Trip ⇒ every unchecked cone fact stays removed: still a subset of
-     the true closure, so sound. Phases 1-2 above ran ungoverned for the
-     same reason the engine's do. *)
+  (* A trip during the rederive checks degrades every unchecked cone fact
+     to "not rederived": it stays removed, which keeps the closure a
+     subset of the true fixpoint (sound; the caller drops the cache on a
+     tripped maintenance pass anyway). Phases 1-2 above run ungoverned —
+     interrupting them could leave a deleted fact visible, which would be
+     unsound in the other direction. *)
   let checked =
     try
       match pool with
       | Some pool when Array.length cone_arr > 1 && Pool.size pool > 1 ->
+          (* Each check is a full body join, so chunks can be smaller
+             than a round's. *)
           let nchunks =
             min (Pool.size pool) (max 1 ((Array.length cone_arr + 15) / 16))
           in
@@ -520,25 +617,19 @@ let retract ?pool ?gov rules t deleted =
     (function
       | None -> ()
       | Some (fact, prov) ->
-          if add_overlay t ~view:fullv fact then begin
+          if admit t ~view:fullv fact then begin
             record_provenance t fact prov;
             seeds_rev := fact :: !seeds_rev
           end)
     checked;
-  let rounds_before = t.rounds in
-  ignore
-    (fixpoint ?pool ?gov t rules ~record:(record_provenance t)
-       (List.rev !seeds_rev)
-      : Triple.t list);
-  let rederive_rounds = t.rounds - rounds_before in
-  (* The cone demotion may have tombstoned frozen overlay swaths the
+  ignore (fixpoint ?pool ?gov t rules (List.rev !seeds_rev) : Triple.t list);
+  (* The cone drop may have tombstoned frozen swaths the (possibly empty)
      rederive fixpoint never folded. *)
   Array.iter Index.quiesce t.overlays;
-  let v = view t in
-  let removed, restored =
-    List.partition (fun fact -> not (v.v_mem fact)) cone_list
-  in
-  { removed; restored; over_deleted = List.length cone_list; rederive_rounds }
+  let removed = List.filter (fun fact -> not (fullv.v_mem fact)) cone_list in
+  Metrics.add m_restored (List.length cone_list - List.length removed);
+  Trace.annotate "restored" (string_of_int (List.length cone_list - List.length removed));
+  removed
 
 let closed_under rules t =
   let v = view t in
@@ -553,3 +644,10 @@ let tier_stats t =
   Array.fold_left
     (fun acc overlay -> Index.sum_stats acc (Index.tier_stats overlay))
     Index.zero_stats t.overlays
+
+let intersect t h1 h2 emit =
+  owns_input t
+  && begin
+       Index.intersect t.overlays.(0) h1 h2 emit;
+       true
+     end

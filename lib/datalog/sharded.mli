@@ -1,40 +1,46 @@
-(** Shard-parallel semi-naive evaluation over a partitioned fact heap.
+(** One stratum of a closure: the semi-naive driver, its delete/rederive
+    maintenance and its support index — the only ones outside the demand
+    evaluator ({!Magic}).
 
-    One [t] is one stratum of a closure, evaluated {e in place} over a
-    read-only base heap (the caller's store, exposed as a {!base} view)
-    plus [N] derived-fact overlays, one per {!Shard} partition: a derived
-    triple lives in the overlay of the shard owning its source entity.
-    Nothing is ever copied out of the base — on a million-fact heap the
-    from-scratch index loads are most of what {!Engine.closure} costs, so
-    reading through is where the sharded path's speedup comes from (and
-    why cold closures scale with what the rules derive, not with the
-    heap).
+    A stratum closes its {e input} (a {!base}: the caller's store, or the
+    previous stratum) under a rule set, recording one derivation per
+    derived fact. Its {!Shard.plan} picks the layout:
+    - {b one shard}: the stratum bulk-loads its input into its own
+      {!Index.t} and derives into the same index. Every probe then hits
+      one packed index, which is what the join loops, galloping
+      {!intersect} and per-insert scans want; on the 175k-fact
+      organization closure reading through a store instead costs 40–50%
+      (EXPERIMENTS.md).
+    - {b more shards}: the stratum reads its input {e through} the base
+      and keeps only derived facts, in [N] overlays — a derived triple
+      lives in the overlay of the shard owning its source entity. Nothing
+      is copied out of the base, so on a million-fact heap with light
+      derivation cold closures scale with what the rules derive, not with
+      the heap.
 
-    Rounds follow the engine's barrier discipline, sharded by owner
-    rather than contiguously: the round's delta is partitioned by owning
-    shard, each shard's slice is evaluated against the frozen union view
-    ({!Engine.round_view} — cross-shard joins read straight through the
-    view), and at the single-threaded barrier the emissions are merged
-    rule-major then shard-major and each accepted fact is routed to its
-    owner's overlay — cross-shard consequences batch into that one
-    exchange per round. With a pool, shard slices evaluate on persistent
-    per-shard worker lanes ({!Lsdb_exec.Pool.lanes}): lane [i] is pinned
-    to shard [i] for the whole fixpoint, lanes beyond the pool size
-    multiplex deterministically, and a round fans out only when more than
-    one slice is non-empty (a 1-hot skewed delta stays on the caller
-    lane). For a fixed shard count the result (fact set, derivation
-    order, provenance, rounds) is identical at every pool size; across
-    shard counts the fact set is identical but enumeration and
-    derivation order are not (the identity gates compare canonically
-    sorted sets).
+    Rounds use a barrier discipline: every rule application in a round
+    reads the union view as of the round start ({!Engine.round_view}), and
+    the round's emissions are merged rule-major then slice-major at a
+    single-threaded barrier that routes each accepted fact to its owner's
+    index. With a pool, a one-shard round fans its delta out in contiguous
+    chunks of at least 32 facts; above one shard each shard's slice runs
+    on a persistent per-shard worker lane ({!Lsdb_exec.Pool.lanes}), and a
+    round fans out only when more than one slice is non-empty. For a fixed
+    shard count the result (fact set, derivation order, provenance,
+    rounds) is identical at every pool size; across shard counts the fact
+    set is identical but enumeration and derivation order are not.
 
-    Retraction is delete/rederive with the same phase structure as
-    {!Engine.retract}; deleted base facts are already gone from the
-    read-through view when the caller hands them over, so they enter the
-    over-deletion cone unconditionally. Governor trips degrade exactly
-    like the engine's: sound subsets, never an escaped exception. *)
+    Every entry point accepts an optional {!Lsdb_exec.Governor.t} and
+    checkpoints it at round barriers plus amortized ticks inside the rule
+    joins. A trip never escapes: the stratum is left a {e consistent
+    subset} of the ungoverned result (index, derived list and provenance
+    agree with each other at the interruption point; retraction leaves
+    unchecked cone facts removed). Callers detect partiality with
+    [Governor.tripped]. *)
 
 type base = {
+  b_seq : unit -> Triple.t Seq.t;
+      (** Every input fact, in the order the stratum loads or seeds it. *)
   b_iter : s:int option -> r:int option -> tgt:int option -> (Triple.t -> unit) -> unit;
   b_mem : Triple.t -> bool;
   b_count : s:int option -> r:int option -> tgt:int option -> int;
@@ -45,37 +51,41 @@ type base = {
 type t
 
 exception Diverged of int
-(** Same safety valve as {!Engine.Diverged}: total cardinal (base +
-    overlays) exceeded [max_facts]. *)
+(** Raised (with the cardinal reached) when the stratum's facts, input
+    included, exceed [max_facts] — a safety valve for rule sets that
+    generate unboundedly, which the paper notes is possible with
+    unrestricted composition. *)
 
 val create : ?max_facts:int -> plan:Shard.plan -> base -> t
-(** Empty overlays over [base]. [max_facts] defaults to 10M. *)
+(** An empty stratum over [base]. [max_facts] defaults to 10M. *)
 
 val plan : t -> Shard.plan
 
 val view : t -> Engine.view
-(** The union view (base ∪ overlays): bound-source probes touch the base
-    and one overlay; unbound-source probes fan out across all overlays. *)
+(** Everything the stratum sees: its own index at one shard; above one
+    shard the union of base and overlays, where bound-source probes touch
+    the base and one overlay and unbound-source probes fan out across all
+    overlays. *)
 
-(** [closure ?pool ?gov rules t initial] — semi-naive fixpoint from
-    [initial] (every fact currently visible in the base view, in a
-    deterministic order of the caller's choosing), derived facts landing
-    in the overlays. Returns the derived triples in derivation order.
-    A governor trip yields a sound prefix. *)
+(** [closure ?pool ?gov rules t] — the semi-naive fixpoint from the input
+    ([base.b_seq], enumerated under the governor's checkpoints; loaded
+    into the stratum's index at one shard). Returns the derived triples in
+    derivation order. A governor trip yields a sound prefix. *)
 val closure :
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   Rule.t list ->
   t ->
-  Triple.t Seq.t ->
   Triple.t list
 
-(** [extend ?pool ?gov rules t extras] — incremental maintenance under
-    insertion: [extras] are base facts the caller has {e already} added
-    to the base heap (they are visible through the view). Facts the
-    stratum had previously derived are demoted (overlay entry and
-    provenance dropped — the base copy now owns them); the rest seed a
-    fixpoint. Returns the newly derived triples in derivation order. *)
+(** [extend ?pool ?gov rules t extras] — maintenance under insertion:
+    [extras] just entered the input (the caller has already added them to
+    the base; at one shard the stratum copies them in). Facts the stratum
+    had derived are demoted to input (their recorded derivation dropped,
+    as a recompute would have it); the genuinely new ones seed a
+    fixpoint. Returns the facts the stratum did not see before — new
+    input facts, then derived ones in derivation order — which are what
+    the next stratum must be extended with. *)
 val extend :
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
@@ -84,59 +94,59 @@ val extend :
   Triple.t list ->
   Triple.t list
 
-type retraction = {
-  removed : Triple.t list;  (** cone facts gone for good, [Triple.compare] order *)
-  restored : Triple.t list;  (** cone facts still visible or rederived, same order *)
-  over_deleted : int;
-  rederive_rounds : int;
-}
-
 (** [retract ?pool ?gov rules t deleted] — delete/rederive: [deleted]
-    must already be gone from the base heap. The cone of facts whose
-    recorded derivation rests on them is over-deleted from the overlays,
-    then every cone member still derivable from the surviving view is
-    restored. Rederive checks fan out across the pool (read-only). *)
+    just left the input (above one shard the caller has already removed
+    them from the base). The cone of facts whose recorded derivation
+    rests on them is over-deleted, then every cone member still derivable
+    from the surviving view is restored (the checks fan out across the
+    pool, read-only). The fact set then equals a from-scratch {!closure}
+    over the surviving input, at any pool size. Returns the cone facts
+    gone for good, in [Triple.compare] order — what the next stratum must
+    retract. *)
 val retract :
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
   Rule.t list ->
   t ->
   Triple.t list ->
-  retraction
-
-(** [demote t fact] — drop [fact]'s overlay entry and provenance (e.g.
-    when it was just asserted as a base fact); [true] iff it was in an
-    overlay. *)
-val demote : t -> Triple.t -> bool
+  Triple.t list
 
 (** [closed_under rules t] — does one application round of [rules] over
-    the whole union view produce nothing new? *)
+    everything the stratum sees produce nothing new? *)
 val closed_under : Rule.t list -> t -> bool
 
 val mem : t -> Triple.t -> bool
 val cardinal : t -> int
-(** Base + overlays (the overlays are disjoint from the base). *)
+(** Input + derived facts. *)
 
 val derived_count : t -> int
 val is_derived : t -> Triple.t -> bool
 val provenance : t -> Triple.t -> Engine.provenance option
 val iter_provenance : (Triple.t -> Engine.provenance -> unit) -> t -> unit
-val record_provenance : t -> Triple.t -> Engine.provenance -> unit
-val iter_overlays : (Triple.t -> unit) -> t -> unit
-(** Every derived fact, shard-major. *)
 
-val overlays_to_seq : t -> Triple.t Seq.t
-(** Every derived fact as a sequence, shard-major. *)
+val iter_overlays : (Triple.t -> unit) -> t -> unit
+(** Every fact the stratum's own indexes hold, shard-major: input and
+    derived facts at one shard, derived facts only above. *)
+
+val owns_input : t -> bool
+(** [true] at one shard, where {!iter_overlays} covers the input too. *)
+
+val to_seq : t -> Triple.t Seq.t
+(** Every fact the stratum sees: its index at one shard; above one shard
+    the base's facts, then the overlays shard-major. *)
 
 val rounds : t -> int
+
 val support_size : t -> int
+(** Edges in the support index (premise ↦ dependents); [0] until the
+    first retraction builds it. *)
 
 val overlay_cardinals : t -> int array
 (** Live derived facts per shard — the partition balance. *)
 
 val exchanged : t -> int
 (** Cross-shard routings so far: consequences produced while evaluating
-    one shard's delta but owned by another shard. *)
+    one shard's delta but owned by another shard. [0] at one shard. *)
 
 val reshard_hint : t -> (int * int * int) option
 (** [(shard, permille, streak)] when the imbalance gauge has pinned at or
@@ -145,4 +155,9 @@ val reshard_hint : t -> (int * int * int) option
     Cleared as soon as a fixpoint observes balance again. *)
 
 val tier_stats : t -> Index.tier_stats
-(** Frozen/delta tier sizes summed over all overlays. *)
+(** Frozen/delta tier sizes summed over the stratum's indexes. *)
+
+val intersect : t -> Index.hinge -> Index.hinge -> (int -> unit) -> bool
+(** [intersect t h1 h2 emit] gallop-intersects two posting paths of the
+    stratum's own index ({!Index.intersect}); [false] above one shard,
+    where there is no single packed index. *)

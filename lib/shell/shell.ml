@@ -186,13 +186,8 @@ let obs_stats_text db =
       Printf.sprintf "retraction cones: %d facts over-deleted, %d restored"
         (c "lsdb_engine_retract_cone_facts_total")
         (c "lsdb_engine_restored_facts_total");
-      Printf.sprintf
-        "sharded: %d rounds, %d derived, %d cross-shard exchanged, %d \
-         retractions; imbalance %d‰"
-        (c "lsdb_sharded_rounds_total")
-        (c "lsdb_sharded_derived_triples_total")
+      Printf.sprintf "sharded: %d cross-shard exchanged; imbalance %d‰"
         (c "lsdb_sharded_exchanged_total")
-        (c "lsdb_sharded_retracts_total")
         (Metrics.gauge_value
            (Metrics.gauge "lsdb_sharded_imbalance_permille"));
       Printf.sprintf

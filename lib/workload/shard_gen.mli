@@ -5,11 +5,11 @@
 
     Derivation is deliberately light (only the memberships generalize):
     closure cost on this workload is dominated by how the engine reads
-    the base facts, which is what separates the sharded read-through
-    closure from the copying single-heap oracle. The skew knob controls
-    partition balance: hash partitioning spreads distinct keys evenly
-    but never splits one key's postings, so hot sources concentrate
-    whole posting lists on single shards. *)
+    the base facts, which is what separates the read-through layout
+    (more than one shard) from the copying one-shard layout. The skew
+    knob controls partition balance: hash partitioning spreads distinct
+    keys evenly but never splits one key's postings, so hot sources
+    concentrate whole posting lists on single shards. *)
 
 type params = {
   facts : int;  (** individual-relationship facts (pre-dedup) *)

@@ -6,8 +6,7 @@ let c x = Term.Const x
 let atom a b d = Atom.make a b d
 let triple = Triple.make
 
-let closure rules base =
-  Engine.closure rules (List.to_seq base)
+let closure rules base = fst (stratum rules base)
 
 let tests =
   [
@@ -39,9 +38,9 @@ let tests =
         let base = List.init 4 (fun i -> triple (100 + i) edge (101 + i)) in
         let result = closure [ rule ] base in
         (* 5 nodes in a chain: all ordered pairs = 4+3+2+1 = 10 edges *)
-        Alcotest.(check int) "closure size" 10 (Index.cardinal result.index);
+        Alcotest.(check int) "closure size" 10 (Sharded.cardinal result);
         Alcotest.(check bool) "end-to-end edge" true
-          (Index.mem result.index (triple 100 edge 104)));
+          (Sharded.mem result (triple 100 edge 104)));
     test "guards restrict derivations" (fun () ->
         let rel = 7 and blessed = 8 in
         let rule =
@@ -52,9 +51,9 @@ let tests =
             ()
         in
         let result = closure [ rule ] [ triple 1 rel 2; triple 1 blessed 2 ] in
-        Alcotest.(check bool) "blessed flipped" true (Index.mem result.index (triple 2 blessed 1));
+        Alcotest.(check bool) "blessed flipped" true (Sharded.mem result (triple 2 blessed 1));
         Alcotest.(check bool) "unblessed not flipped" false
-          (Index.mem result.index (triple 2 rel 1)));
+          (Sharded.mem result (triple 2 rel 1)));
     test "distinct guard" (fun () ->
         let rel = 7 in
         let rule =
@@ -65,8 +64,8 @@ let tests =
             ()
         in
         let result = closure [ rule ] [ triple 1 rel 1; triple 1 rel 2 ] in
-        Alcotest.(check bool) "symmetric pair" true (Index.mem result.index (triple 2 rel 1));
-        Alcotest.(check int) "reflexive not duplicated" 3 (Index.cardinal result.index));
+        Alcotest.(check bool) "symmetric pair" true (Sharded.mem result (triple 2 rel 1));
+        Alcotest.(check int) "reflexive not duplicated" 3 (Sharded.cardinal result));
     test "provenance records rule and premises" (fun () ->
         let edge = 7 in
         let rule =
@@ -76,7 +75,7 @@ let tests =
             ()
         in
         let result = closure [ rule ] [ triple 1 edge 2; triple 2 edge 3 ] in
-        match Triple.Tbl.find_opt result.provenance (triple 1 edge 3) with
+        match Sharded.provenance result (triple 1 edge 3) with
         | None -> Alcotest.fail "no provenance"
         | Some { Engine.rule = name; premises } ->
             Alcotest.(check string) "rule name" "trans" name;
@@ -93,8 +92,8 @@ let tests =
             ()
         in
         let result = closure [ rule ] [ triple 1 rel 2 ] in
-        Alcotest.(check bool) "left" true (Index.mem result.index (triple 1 left 2));
-        Alcotest.(check bool) "right" true (Index.mem result.index (triple 2 right 1)));
+        Alcotest.(check bool) "left" true (Sharded.mem result (triple 1 left 2));
+        Alcotest.(check bool) "right" true (Sharded.mem result (triple 2 right 1)));
     test "diverging rule set trips max_facts" (fun () ->
         (* succ(x,y) ⇒ succ(y, y) is bounded, so use a pairing explosion:
            p(x,y) ∧ p(y,z) ⇒ p(x,z) over a dense graph stays bounded too;
@@ -112,9 +111,9 @@ let tests =
         let base = List.init 50 (fun i -> triple i edge (i + 1)) in
         Alcotest.(check bool) "raises Diverged" true
           (try
-             ignore (Engine.closure ~max_facts:100 [ rule ] (List.to_seq base));
+             ignore (stratum ~max_facts:100 [ rule ] base);
              false
-           with Engine.Diverged _ -> true));
+           with Sharded.Diverged _ -> true));
     test "rounds reach fixpoint logarithmically for transitive chains" (fun () ->
         let edge = 7 in
         let rule =
@@ -125,12 +124,12 @@ let tests =
         in
         let base = List.init 16 (fun i -> triple i edge (i + 1)) in
         let result = closure [ rule ] base in
-        Alcotest.(check int) "full closure" (17 * 16 / 2) (Index.cardinal result.index);
-        Alcotest.(check bool) "few rounds" true (result.rounds <= 8));
+        Alcotest.(check int) "full closure" (17 * 16 / 2) (Sharded.cardinal result);
+        Alcotest.(check bool) "few rounds" true (Sharded.rounds result <= 8));
     test "duplicate base facts are collapsed" (fun () ->
-        let result = closure [] [ triple 1 2 3; triple 1 2 3 ] in
-        Alcotest.(check int) "one fact" 1 (Index.cardinal result.index);
-        Alcotest.(check int) "no derived" 0 (List.length result.derived));
+        let result, derived = stratum [] [ triple 1 2 3; triple 1 2 3 ] in
+        Alcotest.(check int) "one fact" 1 (Sharded.cardinal result);
+        Alcotest.(check int) "no derived" 0 (List.length derived));
     test "step derives one round without fixpoint" (fun () ->
         let edge = 7 in
         let rule =
@@ -142,7 +141,11 @@ let tests =
         let index = Index.create () in
         List.iter (fun t -> ignore (Index.add index t))
           [ triple 1 edge 2; triple 2 edge 3; triple 3 edge 4 ];
-        let derived = Engine.step [ rule ] index in
+        let derived =
+          Engine.round_view [| rule |] ~full:(Engine.view_of_index index)
+            (Array.of_seq (Index.to_seq index))
+          |> Array.to_list |> List.concat |> List.map fst
+        in
         (* One round: (1,3) and (2,4), but not (1,4). *)
         Alcotest.(check int) "two new" 2
           (List.length (List.sort_uniq Triple.compare derived));
@@ -162,4 +165,19 @@ let tests =
         Alcotest.(check int) "st" 1 (count ~s:(Some 1) ~r:None ~tgt:(Some 3));
         Alcotest.(check int) "point" 1 (count ~s:(Some 1) ~r:(Some 2) ~tgt:(Some 3));
         Alcotest.(check int) "all" 3 (count ~s:None ~r:None ~tgt:None));
+    test "a governor trip mid-load keeps a sound prefix of the input" (fun () ->
+        (* Regression: the load loop counted a fact before the checkpoint
+           that tripped on it but never stored it, so the array it
+           bulk-loaded kept a placeholder (0,0,0) slot as an input fact. *)
+        let edge = 7 in
+        let base = List.init 3000 (fun i -> triple (i + 1) edge (i + 2)) in
+        let gov = Lsdb_exec.Governor.create () in
+        Lsdb_exec.Governor.cancel gov;
+        let result, derived = stratum ~gov [] base in
+        Alcotest.(check bool) "tripped" true (Lsdb_exec.Governor.is_tripped (Some gov));
+        Alcotest.(check int) "nothing derived" 0 (List.length derived);
+        Alcotest.(check bool) "a strict prefix was loaded" true
+          (Sharded.cardinal result < List.length base);
+        Alcotest.(check bool) "no placeholder fact" false
+          (Sharded.mem result (triple 0 0 0)));
   ]

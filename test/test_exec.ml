@@ -285,20 +285,23 @@ let closure_tests =
             ()
         in
         let base = List.init 40 (fun i -> Triple.make (100 + i) edge (101 + i)) in
-        let reference = Engine.closure [ rule ] (List.to_seq base) in
+        (* One stratum at one shard: with 4 domains each round's delta fans
+           out in contiguous chunks of at least 32 facts. *)
+        let reference, reference_derived = stratum [ rule ] base in
         with_pool ~domains:4 (fun pool ->
-            let parallel = Engine.closure ~pool [ rule ] (List.to_seq base) in
-            Alcotest.(check int) "cardinal" (Index.cardinal reference.index)
-              (Index.cardinal parallel.index);
-            Alcotest.(check int) "rounds" reference.rounds parallel.rounds;
+            let parallel, parallel_derived = stratum ~pool [ rule ] base in
+            Alcotest.(check int) "cardinal" (Sharded.cardinal reference)
+              (Sharded.cardinal parallel);
+            Alcotest.(check int) "rounds" (Sharded.rounds reference)
+              (Sharded.rounds parallel);
             Alcotest.(check bool) "derived order identical" true
-              (List.equal Triple.equal reference.derived parallel.derived);
+              (List.equal Triple.equal reference_derived parallel_derived);
             List.iter
               (fun triple ->
-                let p t = Triple.Tbl.find_opt t.Engine.provenance triple in
                 Alcotest.(check bool) "same provenance" true
-                  (p reference = p parallel))
-              reference.derived));
+                  (Sharded.provenance reference triple
+                  = Sharded.provenance parallel triple))
+              reference_derived));
     test "database closure is identical with an attached pool" (fun () ->
         let seq_db = Paper_examples.organization () in
         let seq_closure = Database.closure seq_db in

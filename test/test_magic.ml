@@ -133,13 +133,26 @@ let tests =
                   ~heads:[ Atom.make (head_term ()) (Term.Const (rel ())) (head_term ()) ]
                   ())
           in
-          let result = Engine.closure rules (List.to_seq base) in
-          let eager_facts =
-            List.of_seq (Index.to_seq result.Engine.index)
+          let eager facts =
+            Oracle.facts (Oracle.closure rules (List.to_seq facts))
             |> List.map (fun (tr : Triple.t) -> (tr.s, tr.r, tr.t))
             |> List.sort compare
           in
-          let m = Magic.create ~staged_rules:[] ~rules (List.to_seq base) in
+          let eager_facts = eager base in
+          (* Demand evaluates over a base the test owns and mutates. *)
+          let idx = Index.create () in
+          List.iter (fun tr -> ignore (Index.add idx tr : bool)) base;
+          let m =
+            Magic.create_shared ~staged_rules:[] ~rules
+              {
+                Magic.bv_iter = (fun ~s ~r ~tgt f -> Index.candidates idx ~s ~r ~tgt f);
+                bv_mem = Index.mem idx;
+                bv_count = (fun ~s ~r ~tgt -> Index.count idx ~s ~r ~tgt);
+                bv_count_s = Index.count_s idx;
+                bv_count_t = Index.count_t idx;
+                bv_cardinal = (fun () -> Index.cardinal idx);
+              }
+          in
           let collect ~s ~r ~tgt =
             let got = ref [] in
             Magic.demand m ~s ~r ~tgt (fun (tr : Triple.t) ->
@@ -164,17 +177,14 @@ let tests =
           (* DRed at the datalog level: retract a base fact, compare with
              a from-scratch closure of the survivors, then restore it. *)
           let victim = Rng.choose rng base in
+          ignore (Index.remove idx victim : bool);
           Magic.retract m victim;
-          let base' = List.filter (fun tr -> Triple.compare victim tr <> 0) base in
           let eager' =
-            Engine.closure rules (List.to_seq base')
-            |> fun r ->
-            List.of_seq (Index.to_seq r.Engine.index)
-            |> List.map (fun (tr : Triple.t) -> (tr.s, tr.r, tr.t))
-            |> List.sort compare
+            eager (List.filter (fun tr -> Triple.compare victim tr <> 0) base)
           in
           Alcotest.(check fact_triples) "after retract" eager'
             (collect ~s:None ~r:None ~tgt:None);
+          ignore (Index.add idx victim : bool);
           Magic.insert m victim;
           Alcotest.(check fact_triples) "after re-insert" eager_facts
             (collect ~s:None ~r:None ~tgt:None)

@@ -463,30 +463,34 @@ let tests =
             ~heads:[ Atom.make (Term.Var 0) (Term.Const edge) (Term.Var 2) ]
             ()
         in
-        let store = Store.create ~shards:4 () in
-        for i = 0 to 9 do
-          ignore (Store.add store (Fact.make i edge (i + 1)))
-        done;
-        let c = Sharded_closure.compute ~rules:[ rule ] ~shards:4 store in
-        Alcotest.(check int) "initial" 10 (Sharded_closure.base_cardinal c);
-        (* One genuinely new fact, one duplicate the store refuses. *)
-        let fresh = Fact.make 100 edge 101 in
-        let dup = Fact.make 0 edge 1 in
-        Alcotest.(check bool) "fresh accepted" true (Store.add store fresh);
-        Alcotest.(check bool) "duplicate refused" false (Store.add store dup);
-        let c = Sharded_closure.extend c [ fresh; dup ] in
-        Alcotest.(check int) "after duplicate extend" 11
-          (Sharded_closure.base_cardinal c);
-        (* One member, one fact that was never in the base tier. *)
-        let member = Fact.make 5 edge 6 in
-        let ghost = Fact.make 500 edge 501 in
-        Alcotest.(check bool) "member removed" true (Store.remove store member);
-        Alcotest.(check bool) "ghost refused" false (Store.remove store ghost);
-        let c = Sharded_closure.retract c [ member; ghost ] in
-        Alcotest.(check int) "after non-member retract" 10
-          (Sharded_closure.base_cardinal c);
-        Alcotest.(check int) "agrees with the store" (Store.cardinal store)
-          (Sharded_closure.base_cardinal c));
+        List.iter
+          (fun shards ->
+            let what fmt = Printf.sprintf ("%d shard(s): " ^^ fmt) shards in
+            let store = Store.create ~shards () in
+            for i = 0 to 9 do
+              ignore (Store.add store (Fact.make i edge (i + 1)))
+            done;
+            let c = Closure.compute ~rules:[ rule ] store in
+            Alcotest.(check int) (what "initial") 10 (Closure.base_cardinal c);
+            (* One genuinely new fact, one duplicate the store refuses. *)
+            let fresh = Fact.make 100 edge 101 in
+            let dup = Fact.make 0 edge 1 in
+            Alcotest.(check bool) (what "fresh accepted") true (Store.add store fresh);
+            Alcotest.(check bool) (what "duplicate refused") false (Store.add store dup);
+            let c = Closure.extend c [ fresh; dup ] in
+            Alcotest.(check int) (what "after duplicate extend") 11
+              (Closure.base_cardinal c);
+            (* One member, one fact that was never in the base tier. *)
+            let member = Fact.make 5 edge 6 in
+            let ghost = Fact.make 500 edge 501 in
+            Alcotest.(check bool) (what "member removed") true (Store.remove store member);
+            Alcotest.(check bool) (what "ghost refused") false (Store.remove store ghost);
+            let c = Closure.retract c [ member; ghost ] in
+            Alcotest.(check int) (what "after non-member retract") 10
+              (Closure.base_cardinal c);
+            Alcotest.(check int) (what "agrees with the store") (Store.cardinal store)
+              (Closure.base_cardinal c))
+          [ 1; 4 ]);
     (* --- database and federation plumbing -------------------------- *)
     test "database: set_shards re-partitions and invalidates" (fun () ->
         let db = Paper_examples.organization () in
@@ -658,4 +662,74 @@ let tests =
           (Store.active_entities store);
         Alcotest.(check bool) "hot key exists" true
           (!busiest > 3 * (3_000 / 500)));
+    (* --- one engine, two layouts ------------------------------------ *)
+    test "closure: one shard is byte-identical to the from-scratch oracle"
+      (fun () ->
+        let org n () =
+          Lsdb_workload.Org_gen.to_database
+            (Lsdb_workload.Org_gen.generate
+               ~params:{ Lsdb_workload.Org_gen.default_params with employees = n }
+               (Lsdb_workload.Rng.create 5))
+        in
+        List.iter
+          (fun (name, make) ->
+            List.iter
+              (fun domains ->
+                let what fmt = Printf.sprintf ("%s, %d domain(s): " ^^ fmt) name domains in
+                let db = make () in
+                let pool =
+                  if domains > 1 then Some (Lsdb_exec.Pool.create ~domains) else None
+                in
+                Database.set_pool db pool;
+                Fun.protect
+                  ~finally:(fun () -> Option.iter Lsdb_exec.Pool.shutdown pool)
+                  (fun () ->
+                    let c = Database.closure db in
+                    let o = Oracle.of_database db in
+                    Alcotest.(check int) (what "cardinal")
+                      (Lsdb_datalog.Index.cardinal o.index) (Closure.cardinal c);
+                    Alcotest.(check int) (what "rounds") o.rounds (Closure.rounds c);
+                    Alcotest.(check bool) (what "derivation order") true
+                      (List.equal Fact.equal o.derived (Closure.derived c));
+                    List.iter
+                      (fun f ->
+                        let expected =
+                          Option.map
+                            (fun { Lsdb_datalog.Engine.rule; premises } -> (rule, premises))
+                            (Lsdb_datalog.Triple.Tbl.find_opt o.provenance f)
+                        in
+                        Alcotest.(check bool) (what "provenance") true
+                          (expected = Closure.provenance c f))
+                      o.derived))
+              [ 1; 4 ])
+          [
+            ("organization", Paper_examples.organization);
+            ("campus", Paper_examples.campus);
+            ("org-400", org 400);
+          ]);
+    test "closure: a retraction at 2 shards moves the cone counters" (fun () ->
+        let db = org_at_shards 2 in
+        let c = Database.closure db in
+        let counter name = Lsdb_obs.Metrics.counter_value (Lsdb_obs.Metrics.counter name) in
+        let cone0 = counter "lsdb_engine_retract_cone_facts_total"
+        and checks0 = counter "lsdb_engine_rederive_checks_total"
+        and retracts0 = counter "lsdb_engine_retracts_total" in
+        (* A stored premise of some derived fact: its cone is non-empty. *)
+        let premise =
+          List.find_map
+            (fun f ->
+              match Closure.provenance c f with
+              | Some (_, premises) -> List.find_opt (Store.mem (Database.store db)) premises
+              | None -> None)
+            (Closure.derived c)
+          |> Option.get
+        in
+        Alcotest.(check bool) "premise removed" true (Database.remove db premise);
+        ignore (Database.closure db);
+        Alcotest.(check bool) "cone counter moved" true
+          (counter "lsdb_engine_retract_cone_facts_total" > cone0);
+        Alcotest.(check bool) "rederive checks counted" true
+          (counter "lsdb_engine_rederive_checks_total" > checks0);
+        Alcotest.(check bool) "retractions counted" true
+          (counter "lsdb_engine_retracts_total" > retracts0));
   ]

@@ -38,3 +38,23 @@ let test name f = Alcotest.test_case name `Quick f
 
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+
+(* The engine itself, one stratum at one shard, closing [facts] under
+   [rules]: the layout that copies its input into its own index. *)
+let stratum ?max_facts ?pool ?gov rules facts =
+  let module D = Lsdb_datalog in
+  let input = D.Index.create () in
+  List.iter (fun f -> ignore (D.Index.add input f : bool)) facts;
+  let v = D.Engine.view_of_index input in
+  let s =
+    D.Sharded.create ?max_facts ~plan:(D.Shard.plan 1)
+      {
+        b_seq = (fun () -> List.to_seq facts);
+        b_iter = v.v_iter;
+        b_mem = v.v_mem;
+        b_count = v.v_count;
+        b_cardinal = (fun () -> D.Index.cardinal input);
+      }
+  in
+  let derived = D.Sharded.closure ?pool ?gov rules s in
+  (s, derived)

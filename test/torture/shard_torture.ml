@@ -2,11 +2,14 @@
    (shard count x domain count x closure mode) matrix.
 
    Seeded random scripts of matches, queries, insertions and retractions
-   run once against a single-heap, sequential, eager oracle and once per
-   matrix cell; a cell diverging from the oracle in any step's answers,
-   any mutation's outcome, or the final closure is a failure. Answers
-   are compared as sorted rows — enumeration order is the one thing the
-   matrix is allowed to change.
+   run once in the one-shard, sequential, eager reference cell and once
+   per matrix cell; a cell diverging from the reference in any step's
+   answers, any mutation's outcome, or the final closure is a failure.
+   Every cell's final closure, the reference cell's included, must also
+   equal a from-scratch recompute of its final store by the test oracle
+   (test/oracle), which shares no fixpoint driver with the engine.
+   Answers are compared as sorted rows — enumeration order is the one
+   thing the matrix is allowed to change.
 
    The domains axis runs to 8 — past the machine's core count on most
    runners, so lanes multiplex over fewer executors than shards — and
@@ -117,6 +120,12 @@ let final_signature db =
     (Database.closure db);
   List.sort compare !acc
 
+(* The same signature, recomputed from scratch by the oracle. *)
+let oracle_signature db =
+  let symtab = Database.symtab db in
+  List.sort compare
+    (List.map (Fact.names symtab) (Oracle.facts (Oracle.of_database db)))
+
 let run_cell ~shards ~domains ~mode db script =
   Database.set_shards db shards;
   Database.set_closure_mode db mode;
@@ -130,16 +139,21 @@ let run_cell ~shards ~domains ~mode db script =
       Option.iter Lsdb_exec.Pool.shutdown pool)
     (fun () ->
       let outputs = List.map (run_step db) script in
-      (outputs, final_signature db))
+      let final = final_signature db in
+      (outputs, final, oracle_signature db = final))
 
 let torture seed =
   let rng = Rng.create seed in
   let db0 = base_db rng in
   let script = gen_script db0 rng in
-  let oracle_out, oracle_sig =
+  let reference_out, reference_sig, matches_oracle =
     run_cell ~shards:1 ~domains:1 ~mode:Database.Eager (Database.copy db0)
       script
   in
+  incr cases;
+  if not matches_oracle then
+    failf (Printf.sprintf "seed%d/reference" seed)
+      "final closure differs from the oracle's recompute";
   List.iter
     (fun shards ->
       List.iter
@@ -153,20 +167,23 @@ let torture seed =
                     | Database.Eager -> "eager"
                     | Database.Demand -> "demand")
                 in
-                let out, final =
+                let out, final, matches_oracle =
                   run_cell ~shards ~domains ~mode (Database.copy db0) script
                 in
+                incr cases;
+                if not matches_oracle then
+                  failf case "final closure differs from the oracle's recompute";
                 List.iteri
                   (fun i (expected, got) ->
                     incr cases;
                     if got <> expected then
                       failf case "step %d diverged (%d rows vs %d)" i
                         (List.length got) (List.length expected))
-                  (List.combine oracle_out out);
+                  (List.combine reference_out out);
                 incr cases;
-                if final <> oracle_sig then
+                if final <> reference_sig then
                   failf case "final closure diverged (%d facts vs %d)"
-                    (List.length final) (List.length oracle_sig)
+                    (List.length final) (List.length reference_sig)
               end)
             [ Database.Eager; Database.Demand ])
         [ 1; 2; 4; 8 ])
