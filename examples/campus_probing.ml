@@ -18,7 +18,7 @@ let () =
 
   (* §5.1: the retraction set of "who loves opera". *)
   print_endline "== §5.1 minimally broader queries of (?z, LOVES, OPERA) ==";
-  let broadness = Broadness.compute campus in
+  let broadness = Broadness.of_db campus in
   let query = Query_parser.parse campus "(?z, LOVES, OPERA)" in
   List.iter
     (fun (br : Retraction.broader) ->

@@ -1,134 +1,64 @@
-module Int_tbl = Hashtbl.Make (Int)
+(* A view, not a copy: every read goes to the closure's own ⊑ postings
+   through the mode-aware accessors, so nothing is rebuilt after a write,
+   and in demand mode each read is a per-entity goal — a probe derives
+   only the ancestors and descendants of its own constants. *)
+type t = Database.t
 
-type t = {
-  ups : Entity.t list Int_tbl.t;  (* strict generalizations *)
-  downs : Entity.t list Int_tbl.t;  (* strict specializations *)
-  up_sets : unit Int_tbl.t Int_tbl.t;  (* membership view of ups *)
-}
+let of_db db = db
 
-let compute db =
-  let closure = Database.closure db in
-  let ups = Int_tbl.create 64 in
-  let downs = Int_tbl.create 64 in
-  let up_sets = Int_tbl.create 64 in
-  let push tbl key v =
-    Int_tbl.replace tbl key (v :: (Option.value ~default:[] (Int_tbl.find_opt tbl key)))
-  in
-  Closure.match_pattern closure (Store.pattern ~r:Entity.gen ()) (fun fact ->
-      if not (Entity.equal fact.s fact.t) then begin
-        push ups fact.s fact.t;
-        push downs fact.t fact.s;
-        let set =
-          match Int_tbl.find_opt up_sets fact.s with
-          | Some set -> set
-          | None ->
-              let set = Int_tbl.create 8 in
-              Int_tbl.add up_sets fact.s set;
-              set
-        in
-        Int_tbl.replace set fact.t ()
-      end);
-  { ups; downs; up_sets }
+let strict_ends db pat pick =
+  let acc = ref [] in
+  Database.closure_match db pat (fun (fact : Fact.t) ->
+      if not (Entity.equal fact.s fact.t) then acc := pick fact :: !acc);
+  List.sort_uniq Entity.compare !acc
 
-(* The hierarchy view is invariant until the fact set or rules change, so
-   probing memoizes it per (database, generation). Weak keys let
-   discarded databases (tests, workload sweeps create thousands) drop
-   their entries; the mutex keeps the cache coherent when probes run
-   concurrently with other databases' lookups. *)
-module Db_cache = Ephemeron.K1.Make (struct
-  type nonrec t = Database.t
+let generalizations db e =
+  strict_ends db (Store.pattern ~s:e ~r:Entity.gen ()) (fun fact -> fact.t)
 
-  let equal = ( == )
-  let hash = Database.uid
-end)
+let specializations db e =
+  strict_ends db (Store.pattern ~r:Entity.gen ~t:e ()) (fun fact -> fact.s)
 
-type cache_cell = { generation : int; broadness : t }
+let in_ups db e e' =
+  (not (Entity.equal e e')) && Database.closure_mem db (Fact.make e Entity.gen e')
 
-let cache : cache_cell Db_cache.t = Db_cache.create 16
-let cache_lock = Mutex.create ()
+let is_generalization db ~of_ e' = Entity.equal e' Entity.top || in_ups db of_ e'
 
-let of_db db =
-  let generation = Database.generation db in
-  Mutex.lock cache_lock;
-  let hit =
-    match Db_cache.find_opt cache db with
-    | Some { generation = g; broadness } when g = generation -> Some broadness
-    | _ -> None
-  in
-  Mutex.unlock cache_lock;
-  match hit with
-  | Some broadness -> broadness
-  | None ->
-      (* [compute] may fold pending inserts into the closure; the
-         generation read above already reflects those inserts (it is
-         bumped at insert time), so the entry stays valid. *)
-      let broadness = compute db in
-      Mutex.lock cache_lock;
-      Db_cache.replace cache db { generation; broadness };
-      Mutex.unlock cache_lock;
-      broadness
-
-let generalizations t e = Option.value ~default:[] (Int_tbl.find_opt t.ups e)
-let specializations t e = Option.value ~default:[] (Int_tbl.find_opt t.downs e)
-
-let in_ups t e e' =
-  match Int_tbl.find_opt t.up_sets e with
-  | Some set -> Int_tbl.mem set e'
-  | None -> false
-
-let is_generalization t ~of_ e' =
-  Entity.equal e' Entity.top || in_ups t of_ e'
+(* Is some x strictly between [below] ⊏ [above]: above the one, below the
+   other, and a synonym of neither? The candidates are ups(below) ∩
+   downs(above); walk whichever side the O(1) posting counts say is
+   shorter, so each member of a class hub costs a walk of its own few
+   generalizations rather than of the hub's thousands of members. *)
+let has_between db ~below ~above =
+  let neither x = (not (in_ups db x below)) && not (in_ups db above x) in
+  let count pat = Database.count_hint db pat in
+  if
+    count (Store.pattern ~s:below ~r:Entity.gen ())
+    <= count (Store.pattern ~r:Entity.gen ~t:above ())
+  then List.exists (fun x -> in_ups db x above && neither x) (generalizations db below)
+  else List.exists (fun x -> in_ups db below x && neither x) (specializations db above)
 
 (* b is a cover of a iff a ⊏ b with no x strictly between: the paper's
    minimal generalization. Synonym pairs (mutual ⊑) cover each other. *)
-let covers_up t a =
-  let ups = generalizations t a in
-  List.filter
-    (fun b ->
-      not
-        (List.exists
-           (fun x ->
-             (not (Entity.equal x b))
-             && (not (in_ups t x a)) (* synonyms of a are not strictly between *)
-             && in_ups t x b
-             && not (in_ups t b x) (* nor synonyms of b *))
-           ups))
-    ups
+let covers_up db a =
+  List.filter (fun b -> not (has_between db ~below:a ~above:b)) (generalizations db a)
 
-let covers_down t a =
-  let downs = specializations t a in
-  List.filter
-    (fun b ->
-      not
-        (List.exists
-           (fun x ->
-             (not (Entity.equal x b))
-             && (not (in_ups t a x))
-             && in_ups t b x
-             && not (in_ups t x b))
-           downs))
-    downs
+let covers_down db a =
+  List.filter (fun b -> not (has_between db ~below:b ~above:a)) (specializations db a)
 
-let minimal_generalizations t e =
+let minimal_generalizations db e =
   if Entity.equal e Entity.top then []
-  else match covers_up t e with [] -> [ Entity.top ] | covers -> covers
+  else match covers_up db e with [] -> [ Entity.top ] | covers -> covers
 
-let minimal_specializations t e =
+let minimal_specializations db e =
   if Entity.equal e Entity.bottom then []
-  else match covers_down t e with [] -> [ Entity.bottom ] | covers -> covers
+  else match covers_down db e with [] -> [ Entity.bottom ] | covers -> covers
 
-let entities t =
-  let seen = Int_tbl.create 64 in
-  Int_tbl.iter (fun e _ -> Int_tbl.replace seen e ()) t.ups;
-  Int_tbl.iter (fun e _ -> Int_tbl.replace seen e ()) t.downs;
-  Int_tbl.fold (fun e () acc -> e :: acc) seen []
-
-let height t e =
+let height db e =
   (* Longest strict chain upward; the hierarchy may contain synonym
      cycles, so visited entities are never re-entered. *)
   let rec go visited e =
     let nexts =
-      List.filter (fun e' -> not (List.exists (Entity.equal e') visited)) (covers_up t e)
+      List.filter (fun e' -> not (List.exists (Entity.equal e') visited)) (covers_up db e)
     in
     match nexts with
     | [] -> 0

@@ -118,6 +118,11 @@ let push_derived t facts =
     t.derived_listed <- t.derived_listed + List.length facts
   end
 
+let note_active table (triple : D.Triple.t) =
+  Hashtbl.replace table triple.s ();
+  Hashtbl.replace table triple.r ();
+  Hashtbl.replace table triple.t ()
+
 let extend ?pool ?gov t facts =
   let staged =
     match t.stage with
@@ -132,8 +137,10 @@ let extend ?pool ?gov t facts =
   let added = D.Sharded.extend ?pool ?gov t.rules t.main staged in
   push_derived t (List.filter (is_derived t) added);
   compact_derived t;
-  t.actives <- None;
-  t
+  (* Extension only adds facts, so the active-entity table grows by the
+     entities of [added] instead of being rebuilt over the closure. *)
+  Option.iter (fun table -> List.iter (note_active table) added) t.actives;
+  added
 
 (* Stage-first delete/rederive: facts the stage loses for good become the
    deletions of the main stratum. The main stratum keeps no provenance
@@ -242,11 +249,7 @@ let force_actives t =
   | Some table -> table
   | None ->
       let table = Hashtbl.create 256 in
-      let add (triple : D.Triple.t) =
-        Hashtbl.replace table triple.s ();
-        Hashtbl.replace table triple.r ();
-        Hashtbl.replace table triple.t ()
-      in
+      let add = note_active table in
       if D.Sharded.owns_input t.main then D.Sharded.iter_overlays add t.main
       else List.iter (D.Sharded.iter_overlays add) (strata t);
       t.actives <- Some table;

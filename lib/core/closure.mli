@@ -46,7 +46,10 @@ val compute :
     insertion of base [facts] (already added to the store): the
     semi-naive fixpoint continues from the new triples through the same
     strata as [compute], reusing everything already derived. The closure
-    is updated in place and also returned. A fact asserted as base that
+    is updated in place; the result lists the facts it did not hold
+    before — new base facts, then derived ones in derivation order — the
+    only facts that can take part in a contradiction the closure lacked
+    ({!Integrity}). A fact asserted as base that
     the closure had previously derived is demoted to base (its recorded
     derivation is dropped), so that derived-ness always matches a
     from-scratch recompute.
@@ -64,7 +67,7 @@ val extend :
   ?gov:Lsdb_exec.Governor.t ->
   t ->
   Fact.t list ->
-  t
+  Fact.t list
 
 (** [retract closure facts] incrementally maintains the closure under
     deletion of base [facts] (already removed from the store), via

@@ -206,25 +206,25 @@ let neighbors db symtab ~forward node =
    expansion itself. *)
 let parallel_threshold = 64
 
+(* [f] over [nodes], a read-only fan-out: sharded across the domain pool
+   when the list is long enough, results in input order either way
+   (Pool.map is deterministic). *)
+let map_nodes db f nodes =
+  match Database.pool db with
+  | Some pool
+    when List.length nodes >= parallel_threshold
+         && Database.closure_mode db = Database.Eager ->
+      (* Demand mode stays sequential: goal evaluation mutates the
+         demand state, which is single-threaded by design. *)
+      Database.prepare_readers db;
+      Pool.map pool f nodes
+  | _ -> List.map f nodes
+
 (* One BFS level: the deduplicated successors (forward) or predecessors
-   (backward) of [nodes]. Gathering is a read-only fan-out, so it shards
-   across the domain pool when the frontier is large enough; per-node
-   results come back in input order (Pool.map is deterministic) and the
-   sequential dedup keeps first-seen order, so the next level is
-   byte-identical at any pool size. *)
+   (backward) of [nodes]. The sequential dedup keeps first-seen order, so
+   the next level is byte-identical at any pool size. *)
 let expand_level db symtab ~forward nodes =
-  let gather = neighbors db symtab ~forward in
-  let per_node =
-    match Database.pool db with
-    | Some pool
-      when List.length nodes >= parallel_threshold
-           && Database.closure_mode db = Database.Eager ->
-        (* Demand mode stays sequential: goal evaluation mutates the
-           demand state, which is single-threaded by design. *)
-        Database.prepare_readers db;
-        Pool.map pool gather nodes
-    | _ -> List.map gather nodes
-  in
+  let per_node = map_nodes db (neighbors db symtab ~forward) nodes in
   let seen = Hashtbl.create 64 in
   let out = ref [] in
   List.iter
@@ -235,6 +235,24 @@ let expand_level db symtab ~forward nodes =
          end))
     per_node;
   List.rev !out
+
+exception Linked
+
+(* A backward step taken from the forward side: the [candidates] with a
+   composable edge into [level], in candidate order — the same set as
+   [candidates] ∩ [expand_level ~forward:false level], read from the
+   candidates' out-postings instead of the level's in-postings. *)
+let probe_level db symtab level candidates =
+  let targets = Hashtbl.create 64 in
+  List.iter (fun u -> Hashtbl.replace targets u ()) level;
+  let linked v =
+    try
+      Database.closure_match db (Store.pattern ~s:v ()) (fun fact ->
+          if Hashtbl.mem targets fact.t && composable symtab fact.r then raise Linked);
+      None
+    with Linked -> Some v
+  in
+  List.filter_map Fun.id (map_nodes db linked candidates)
 
 (* O(1) per node: the posting-list length the next expansion would walk. *)
 let frontier_cost db ~forward nodes =
@@ -272,7 +290,12 @@ let empty_search =
    keeping only nodes with a compatible forward distance; the forward
    masks are complete over the range that pruning consults (depths
    < limit - b whenever the main loop stopped at f + b = limit, and all
-   depths when a side exhausted), so no reachable completion is lost. *)
+   depths when a side exhausted), so no reachable completion is lost.
+   Each completion step reads whichever side is cheaper by O(1) degree
+   sums: the in-postings of the backward level, or the out-postings of
+   the forward nodes at a compatible distance (a target's whole
+   in-neighbourhood is often far larger than what the forward side
+   reached). Both give the same kept set, hence the same masks. *)
 let search ?(max_paths = 10_000) db ~src ~tgt =
   Metrics.incr m_searches;
   let limit = Database.limit db in
@@ -370,14 +393,22 @@ let search ?(max_paths = 10_000) db ~src ~tgt =
           (List.length bwd.level);
         Metrics.observe m_frontier_backward (float_of_int (List.length bwd.level));
         incr backward_expansions;
-        let next = expand_level db symtab ~forward:false bwd.level in
+        let compatible fm = has_bits fm ~lo:(2 - depth') ~hi:(limit - depth') in
+        let candidates =
+          Hashtbl.fold (fun v fm acc -> if compatible fm then v :: acc else acc) fwd.masks []
+        in
         let kept =
-          List.filter
-            (fun v ->
-              match Hashtbl.find_opt fwd.masks v with
-              | None -> false
-              | Some fm -> has_bits fm ~lo:(2 - depth') ~hi:(limit - depth'))
-            next
+          if
+            frontier_cost db ~forward:true candidates
+            < frontier_cost db ~forward:false bwd.level
+          then probe_level db symtab bwd.level candidates
+          else
+            List.filter
+              (fun v ->
+                match Hashtbl.find_opt fwd.masks v with
+                | None -> false
+                | Some fm -> compatible fm)
+              (expand_level db symtab ~forward:false bwd.level)
         in
         bwd.depth <- depth';
         match kept with

@@ -21,6 +21,10 @@ type t = {
   max_facts : int;
   mutable closure_cache : Closure.t option;
   mutable pending : op list;  (* reversed: newest first *)
+  (* What the cached closure gained since the last clean integrity check,
+     one list per extension, newest first, with their total length; [None]
+     while no clean check is on record for the cache. *)
+  mutable unchecked : (Fact.t list list * int) option;
   mutable closure_mode : closure_mode;
   mutable demand_cache : Magic.t option;  (* demand state; generation-free, kept
                                              in sync via [demand_pending] *)
@@ -62,6 +66,7 @@ let create ?(max_facts = 2_000_000) ?(shards = 1) () =
       max_facts;
       closure_cache = None;
       pending = [];
+      unchecked = None;
       closure_mode = Eager;
       demand_cache = None;
       demand_pending = [];
@@ -87,10 +92,14 @@ let drop_demand t =
   t.demand_pending <- [];
   t.demand_domain <- None
 
-let invalidate t =
+let drop_cache t =
   t.closure_cache <- None;
   t.pending <- [];
-  t.closure_partial <- false;
+  t.unchecked <- None;
+  t.closure_partial <- false
+
+let invalidate t =
+  drop_cache t;
   drop_demand t;
   t.generation <- t.generation + 1
 
@@ -161,7 +170,7 @@ let set_limit t n =
   if n <> t.composition_limit then begin
     t.composition_limit <- n;
     (* The limit changes query-visible composition results, so external
-       generation-keyed caches (broadness, answer cache) must miss. *)
+       generation-keyed caches (the answer cache) must miss. *)
     t.generation <- t.generation + 1
   end
 
@@ -188,10 +197,16 @@ let flush_pending t closure =
   let flush kind batch =
     let facts = List.rev batch in
     match kind with
-    | `Insert ->
+    | `Insert -> (
         t.extensions <- t.extensions + 1;
-        ignore
-          (Closure.extend ?pool:t.pool ?gov:t.governor closure facts)
+        let added = Closure.extend ?pool:t.pool ?gov:t.governor closure facts in
+        match t.unchecked with
+        | Some (batches, n) ->
+            let n = n + List.length added in
+            (* Past the closure's size a full scan is cheaper. *)
+            t.unchecked <-
+              (if n > Closure.cardinal closure then None else Some (added :: batches, n))
+        | None -> ())
     | `Retract ->
         t.retractions <- t.retractions + 1;
         ignore
@@ -221,7 +236,10 @@ let flush_pending t closure =
    (recomputing on every access within the same over-budget query would
    make each one O(closure)). *)
 let note_partial t =
-  if Governor.is_tripped t.governor then t.closure_partial <- true
+  if Governor.is_tripped t.governor then begin
+    t.closure_partial <- true;
+    t.unchecked <- None
+  end
 
 let closure t =
   match t.closure_cache with
@@ -232,7 +250,7 @@ let closure t =
          note_partial t
        with Closure.Diverged n ->
          (* The cache is part-way through the batch; discard it. *)
-         t.closure_cache <- None;
+         drop_cache t;
          raise (Diverged n));
       closure
   | None ->
@@ -247,6 +265,18 @@ let closure t =
       t.computations <- t.computations + 1;
       note_partial t;
       closure
+
+(* Every contradiction involves a fact the closure gained since it was
+   last found clean: the rules are negation-free, so removals only ever
+   take violations away. *)
+let unchecked_facts t =
+  ignore (closure t : Closure.t);
+  Option.map (fun (batches, _) -> List.concat batches) t.unchecked
+
+let note_check t ~clean =
+  t.unchecked <-
+    (if clean && t.closure_cache <> None && not t.closure_partial then Some ([], 0)
+     else None)
 
 (* --- demand-driven closure ------------------------------------------- *)
 
@@ -481,15 +511,10 @@ let demand_stats t =
    Either way the generation is bumped: external caches key query results
    on it, and composition/virtual layers can see the rule list. *)
 
-let drop_cache t =
-  t.closure_cache <- None;
-  t.pending <- [];
-  t.closure_partial <- false
-
 (* Install (or clear) the per-query governor. Partial state left behind
    by a tripped predecessor is discarded here — this transition is the
    only path out of a sticky trip — and the generation is bumped with it,
-   so generation-keyed external caches (match-layer answers, broadness)
+   so generation-keyed external caches (match-layer answers)
    filled from the partial closure miss from now on. Untripped
    transitions cost two field writes. *)
 let set_governor t gov =
@@ -521,6 +546,7 @@ let closure_partial t = t.closure_partial
    covers pending mutations too. *)
 let after_rule_disabled t name =
   t.generation <- t.generation + 1;
+  t.unchecked <- None;
   (* Demand state is cheap to rebuild (nothing is derived until the next
      goal), so any rule toggle just drops it. *)
   drop_demand t;
@@ -539,6 +565,7 @@ let after_rule_disabled t name =
    computed without a stage cannot grow one. *)
 let after_rule_enabled t (rule : Rule.t) =
   t.generation <- t.generation + 1;
+  t.unchecked <- None;
   drop_demand t;
   match t.closure_cache with
   | None -> ()
@@ -602,6 +629,7 @@ let remove_rule t name =
    nothing at all. *)
 let reclassify t e ~is_class_now ~declare =
   if Relclass.is_class t.relclass e <> is_class_now then begin
+    t.unchecked <- None;
     (* Compiled guards read the classification live, so the demand
        state's past derivations may no longer be justified: rebuild. *)
     drop_demand t;
@@ -650,6 +678,7 @@ let copy t =
       max_facts = t.max_facts;
       closure_cache = None;
       pending = [];
+      unchecked = None;
       closure_mode = t.closure_mode;
       demand_cache = None;
       demand_pending = [];

@@ -17,19 +17,21 @@ type t
     enabled and composition disabled ([limit 1]).
 
     [shards] hash-partitions the fact heap by source entity
-    ({!Lsdb_datalog.Shard}) and makes closure maintenance run through the
-    sharded read-through implementation ({!Closure.compute}'s dispatch).
-    Query results are identical at every shard count; enumeration order
-    is not. Default [1] — the classic single heap. *)
+    ({!Lsdb_datalog.Shard}); the store's shard count picks the closure's
+    layout ({!Closure.compute}): at one shard each stratum owns a packed
+    index, above one shard the strata read through the store and keep
+    their derived facts in per-shard overlays. Query results are
+    identical at every shard count; enumeration order is not. Default
+    [1] — the classic single heap. *)
 val create : ?max_facts:int -> ?shards:int -> unit -> t
 
 (** Current shard count of the fact heap ([>= 1]). *)
 val shards : t -> int
 
 (** [set_shards t n] re-partitions the heap in place ([O(heap)]) and
-    drops the closure/demand caches (the next access recomputes on the
-    new layout, choosing the matching closure implementation). Bumps the
-    generation. No-op when [n] equals the current count. *)
+    drops the closure/demand caches (the next access recomputes them in
+    the new count's layout). Bumps the generation. No-op when [n] equals
+    the current count. *)
 val set_shards : t -> int -> unit
 
 (** The two axiom facts seeded into every database: [(↔,↔,↔)] and
@@ -41,13 +43,13 @@ val store : t -> Store.t
 val relclass : t -> Relclass.t
 
 (** A process-unique id for this database — a stable hash key for
-    external per-database caches (see {!Broadness.of_db}). *)
+    external per-database caches (the match layer's answer cache). *)
 val uid : t -> int
 
 (** Monotone mutation counter: bumped by every change to the fact set,
     rules or classifications. Anything derived purely from the database
-    contents (closure, broadness) is valid as long as the generation it
-    was computed at is still current. *)
+    contents (cached answers) is valid as long as the generation it was
+    computed at is still current. *)
 val generation : t -> int
 
 (** {1 Multicore execution} *)
@@ -178,6 +180,27 @@ val closure : t -> Closure.t
 (** [mem t fact] — membership in the closure (stored or inferred).
     Mode-aware: see {!closure_mode}. *)
 val mem : t -> Fact.t -> bool
+
+(** {1 Incremental integrity checks}
+
+    The §2.4 rules have no negation, so a removal never creates a
+    contradiction and every new one involves a fact the closure gained.
+    The database therefore keeps, next to the eager closure cache, the
+    facts the cache gained since {!Integrity} last found it clean. It
+    forgets them when the cache is recomputed, a rule or classification
+    changes, a governor trips while the cache is maintained, a check
+    finds violations, or they come to outnumber the closure's facts (a
+    full scan is then no dearer). *)
+
+(** Forces the eager closure; then the facts it gained since the last
+    clean check (possibly removed again since), or [None] when no clean
+    check is on record — the caller must scan the whole closure. *)
+val unchecked_facts : t -> Fact.t list option
+
+(** [note_check t ~clean] records the outcome of a check of the current
+    eager closure: [clean] starts a fresh record, otherwise the record is
+    forgotten. *)
+val note_check : t -> clean:bool -> unit
 
 (** {1 Closure mode (demand-driven evaluation)}
 

@@ -16,7 +16,16 @@ type conflict =
 
 type violation = { fact : Fact.t; conflict : conflict }
 
-(** All contradictions in the current closure. Pairs are reported once. *)
+(** All contradictions in the current closure, sorted by fact and then
+    conflict. Pairs are reported once.
+
+    In eager mode, when the database has a clean check on record
+    ({!Database.unchecked_facts}), only the contradictions that involve a
+    fact the closure gained since then are looked for — the rules are
+    negation-free, so these are all there can be. Otherwise the whole
+    closure is scanned. Either way a clean result is recorded for the
+    next check. Demand mode derives only the ⊥ extent, the extents it
+    names and the comparator extents. *)
 val violations : Database.t -> violation list
 
 val is_valid : Database.t -> bool

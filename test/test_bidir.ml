@@ -83,13 +83,23 @@ let tests =
            threshold, so Pool.map really runs. *)
         let rng = Rng.create 0x5EED in
         let db = random_graph_db rng ~nodes:150 ~edges:1200 ~rels:4 in
+        (* Denser, with a hub target: the backward completion then reads
+           the forward side, and its probe step crosses the threshold. *)
+        let hub = random_graph_db rng ~nodes:200 ~edges:2000 ~rels:4 in
+        for _ = 1 to 400 do
+          ignore
+            (Database.insert_names hub (Printf.sprintf "N%d" (Rng.int rng 200)) "R0" "N1")
+        done;
         let checks () =
           List.iter
             (fun limit ->
               List.iter
                 (fun (src, tgt) -> check_equiv "dense" db ~src ~tgt ~limit)
                 [ ("N3", "N7"); ("N10", "N4") ])
-            [ 2; 4; 5 ]
+            [ 2; 4; 5 ];
+          List.iter
+            (fun limit -> check_equiv "hub" hub ~src:"N3" ~tgt:"N1" ~limit)
+            [ 3; 4; 5 ]
         in
         checks ();
         let fanouts () =
@@ -100,9 +110,9 @@ let tests =
         List.iter
           (fun domains ->
             with_pool ~domains (fun pool ->
-                Database.set_pool db (Some pool);
+                List.iter (fun d -> Database.set_pool d (Some pool)) [ db; hub ];
                 Fun.protect
-                  ~finally:(fun () -> Database.set_pool db None)
+                  ~finally:(fun () -> List.iter (fun d -> Database.set_pool d None) [ db; hub ])
                   checks))
           [ 1; 2; 4; 8 ];
         (* Guard the parallel path from silently never running: the dense

@@ -6,6 +6,28 @@ open Testutil
 
 let tests =
   [
+    test "extension keeps the active-entity table exact" (fun () ->
+        List.iter
+          (fun shards ->
+            let db = Paper_examples.organization () in
+            Database.set_shards db shards;
+            (* Build the table, then extend with new entities: a derived
+               one (NEWBIE works for a department through MANAGER) and a
+               fresh relationship. *)
+            Alcotest.(check bool) "not yet active" false
+              (Database.entity_in_closure db (Database.entity db "NEWBIE"));
+            ignore (Database.insert_names db "NEWBIE" "in" "MANAGER");
+            ignore (Database.insert_names db "NEWBIE" "MENTORS" "ROOKIE");
+            let sorted db = List.sort compare (List.of_seq (Database.active_domain db)) in
+            Alcotest.(check (list int))
+              (Printf.sprintf "%d shard(s): active entities" shards)
+              (sorted (Database.copy db)) (sorted db);
+            List.iter
+              (fun name ->
+                Alcotest.(check bool) (name ^ " active") true
+                  (Database.entity_in_closure db (Database.entity db name)))
+              [ "NEWBIE"; "MENTORS"; "ROOKIE" ])
+          [ 1; 4 ]);
     test "§3.1 generalization, source rule: managers work for departments" (fun () ->
         let db = Paper_examples.organization () in
         check_holds db "manager works-for department"

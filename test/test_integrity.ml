@@ -1,8 +1,113 @@
 open Lsdb
 open Testutil
 
+(* Differential scripts for the incremental check: ⊥ facts, synonyms,
+   isa, memberships, a comparator constraint like B8's
+   salaries-positive, removals, plain (unchecked) inserts that leave
+   violations behind, and checked inserts that get rejected. After every
+   step the check must equal the full scan of a copy, which has no clean
+   check on record. Returns the number of rejected inserts. *)
+let differential mode seed =
+  let module Rng = Lsdb_workload.Rng in
+  let rng = Rng.create seed in
+  let db = Database.create () in
+  Database.set_closure_mode db mode;
+  let e = Database.entity db in
+  Database.add_rule db
+    (Rule.make ~name:"salaries-positive"
+       ~body:[ Template.make (Template.Var "x") (Template.Ent (e "EARNS")) (Template.Var "s") ]
+       ~heads:[ Template.make (Template.Var "s") (Template.Ent Entity.ge) (Template.Ent (e "$0")) ]
+       ());
+  let pick a = Rng.choose_array rng a in
+  let people = [| "P0"; "P1"; "P2"; "P3"; "P4"; "P5" |]
+  and rels = [| "LOVES"; "HATES"; "LIKES"; "ADMIRES"; "DESPISES" |]
+  and classes = [| "C0"; "C1"; "C2"; "C3" |]
+  and amounts = [| "$5"; "$-3"; "$0"; "$12" |] in
+  let random_fact () =
+    let names =
+      match Rng.int rng 12 with
+      | 0 | 1 -> (pick rels, "contra", pick rels)
+      | 2 -> (pick rels, "syn", pick rels)
+      | 3 -> (pick people, "syn", pick people)
+      | 4 -> (pick classes, "isa", pick classes)
+      | 5 -> (pick rels, "isa", pick rels)
+      | 6 -> (pick people, "in", pick classes)
+      | 7 -> (pick people, "EARNS", pick amounts)
+      | _ -> (pick people, pick rels, (if Rng.bool rng then pick people else pick classes))
+    in
+    fact db names
+  in
+  (* Plain inserts, newest first: the only source of lasting violations,
+     so undoing them all makes the database valid again. *)
+  let plain = ref [] in
+  let undo () =
+    match !plain with
+    | fact :: rest ->
+        plain := rest;
+        ignore (Database.remove db fact)
+    | [] -> ()
+  in
+  let rejected = ref 0 in
+  let check what =
+    let render vs = List.map (Integrity.describe db) vs in
+    let full = Integrity.violations (Database.copy db) in
+    Alcotest.(check (list string))
+      (Printf.sprintf "seed %d %s" seed what)
+      (render full) (render (Integrity.violations db));
+    full
+  in
+  for step = 1 to 60 do
+    for _ = 0 to Rng.int rng 4 do
+      match Rng.int rng 10 with
+      | 0 | 1 | 2 -> (
+          match Integrity.insert_checked db (random_fact ()) with
+          | Error _ -> incr rejected
+          | Ok _ -> ())
+      | 3 | 4 | 5 ->
+          let fact = random_fact () in
+          if Database.insert db fact then plain := fact :: !plain
+      | 6 -> (
+          match Database.facts db with
+          | [] -> ()
+          | facts -> ignore (Database.remove db (Rng.choose rng facts)))
+      | 7 | 8 -> undo ()
+      | _ -> ()
+    done;
+    if check (Printf.sprintf "step %d" step) <> [] then begin
+      while !plain <> [] do undo () done;
+      ignore (check (Printf.sprintf "step %d, undone" step) : Integrity.violation list)
+    end
+  done;
+  !rejected
+
 let tests =
   [
+    test "incremental check ≡ full scan over random scripts, both modes" (fun () ->
+        let rejected = ref 0 in
+        List.iter
+          (fun mode ->
+            List.iter
+              (fun seed -> rejected := !rejected + differential mode seed)
+              [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+          [ Database.Eager; Database.Demand ];
+        Alcotest.(check bool) "some inserts were rejected" true (!rejected > 0));
+    test "violations come in one canonical order" (fun () ->
+        let db =
+          db_of
+            [
+              ("LOVES", "contra", "HATES");
+              ("LIKES", "contra", "HATES");
+              ("JOHN", "LOVES", "MARY");
+              ("JOHN", "HATES", "MARY");
+              ("ANN", "LIKES", "MARY");
+              ("ANN", "HATES", "MARY");
+            ]
+        in
+        let eager = Integrity.violations db in
+        Alcotest.(check bool) "sorted" true (List.sort compare eager = eager);
+        Database.set_closure_mode db Database.Demand;
+        Alcotest.(check bool) "demand agrees" true (Integrity.violations db = eager));
+
     test "a contradiction-free database validates" (fun () ->
         Alcotest.(check bool) "organization valid" true
           (Integrity.is_valid (Paper_examples.organization ())));

@@ -42,7 +42,7 @@ let tests =
           (contains table "FAVORITE-MUSIC·COMPOSED-BY"));
     test "EX2: §5.1 minimally broader queries of the opera query" (fun () ->
         let db = Paper_examples.campus () in
-        let b = Broadness.compute db in
+        let b = Broadness.of_db db in
         let broader =
           Retraction.retraction_set db b (q db "(?z, LOVES, OPERA)")
           |> List.map (fun (br : Retraction.broader) ->

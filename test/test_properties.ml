@@ -56,7 +56,7 @@ let tests =
         let db = db_of facts in
         if Database.base_cardinal db <= 2 then true
         else begin
-          let broadness = Broadness.compute db in
+          let broadness = Broadness.of_db db in
           (* Q ⇒ Q′ is guaranteed for individual relationships only (the
              §3.1 rules are guarded on R_i; class relationships like ∈/≈
              deliberately do not propagate down), so the probes fix an

@@ -2,7 +2,7 @@ open Lsdb
 open Testutil
 
 let broader_strings db query =
-  let b = Broadness.compute db in
+  let b = Broadness.of_db db in
   Retraction.retraction_set db b query
   |> List.map (fun (br : Retraction.broader) ->
          Query.to_string (Database.symtab db) br.Retraction.query)
@@ -30,7 +30,7 @@ let tests =
           broader);
     test "broadness soundness: Q ⇒ Q' (answers only grow)" (fun () ->
         let db = Paper_examples.campus () in
-        let b = Broadness.compute db in
+        let b = Broadness.of_db db in
         let queries =
           [
             "(?z, LOVES, OPERA)";
@@ -61,7 +61,7 @@ let tests =
       (fun () ->
         let db = Paper_examples.campus () in
         let query = q db "(STUDENT, LOVE, ?z)" in
-        let b = Broadness.compute db in
+        let b = Broadness.of_db db in
         let steps =
           Retraction.retraction_set db b query
           |> List.filter_map (fun (br : Retraction.broader) ->
@@ -74,7 +74,7 @@ let tests =
     test "generalize policy sends sources toward Δ" (fun () ->
         let db = Paper_examples.campus () in
         let query = q db "(FRESHMAN, LOVE, ?z)" in
-        let b = Broadness.compute db in
+        let b = Broadness.of_db db in
         let policy = { Retraction.source_mode = `Generalize } in
         let sources =
           Retraction.retraction_set ~policy db b query
@@ -88,7 +88,7 @@ let tests =
     test "comparators and extremes are not substituted" (fun () ->
         let db = db_of [ ("X", "EARNS", "100") ] in
         let query = q db "(?z, EARNS, ?y) & (?y, gt, 50)" in
-        let b = Broadness.compute db in
+        let b = Broadness.of_db db in
         List.iter
           (fun (br : Retraction.broader) ->
             match br.Retraction.step with
@@ -105,7 +105,7 @@ let tests =
         let query =
           Query.conj [ q db "(STUDENT, LOVE, ?z)"; Query.atom weak ]
         in
-        let b = Broadness.compute db in
+        let b = Broadness.of_db db in
         let has_deletion =
           List.exists
             (fun (br : Retraction.broader) ->
@@ -133,7 +133,7 @@ let tests =
            generate the same broader query twice without dedup. *)
         let db = Paper_examples.campus () in
         let query = q db "(?z, LOVES, OPERA) & (?z, LOVES, OPERA)" in
-        let b = Broadness.compute db in
+        let b = Broadness.of_db db in
         let set = Retraction.retraction_set db b query in
         let texts =
           List.map

@@ -477,7 +477,7 @@ let tests =
             let dup = Fact.make 0 edge 1 in
             Alcotest.(check bool) (what "fresh accepted") true (Store.add store fresh);
             Alcotest.(check bool) (what "duplicate refused") false (Store.add store dup);
-            let c = Closure.extend c [ fresh; dup ] in
+            ignore (Closure.extend c [ fresh; dup ] : Fact.t list);
             Alcotest.(check int) (what "after duplicate extend") 11
               (Closure.base_cardinal c);
             (* One member, one fact that was never in the base tier. *)

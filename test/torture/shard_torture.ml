@@ -1,15 +1,17 @@
 (* Shard-torture driver: the identity suite over the full
    (shard count x domain count x closure mode) matrix.
 
-   Seeded random scripts of matches, queries, insertions and retractions
-   run once in the one-shard, sequential, eager reference cell and once
+   Seeded random scripts of matches, queries, insertions, checked
+   insertions and retractions run once in the one-shard, sequential, eager reference cell and once
    per matrix cell; a cell diverging from the reference in any step's
    answers, any mutation's outcome, or the final closure is a failure.
    Every cell's final closure, the reference cell's included, must also
    equal a from-scratch recompute of its final store by the test oracle
    (test/oracle), which shares no fixpoint driver with the engine.
    Answers are compared as sorted rows — enumeration order is the one
-   thing the matrix is allowed to change.
+   thing the matrix is allowed to change. In every cell, each checked
+   insertion's verdict and violations must also equal the full
+   integrity scan of a copy of the database taken just before it.
 
    The domains axis runs to 8 — past the machine's core count on most
    runners, so lanes multiplex over fewer executors than shards — and
@@ -39,6 +41,7 @@ type step =
   | Match of string option * string option * string option
   | QueryText of string
   | Ins of string * string * string
+  | Chk of string * string * string  (* Integrity.insert_checked *)
   | Rem of string * string * string
 
 let base_db rng =
@@ -61,7 +64,7 @@ let gen_script db rng =
   let steps = ref [] in
   for i = 1 to 14 do
     let step =
-      match Rng.int rng 10 with
+      match Rng.int rng 12 with
       | 0 | 1 | 2 | 3 ->
           let s, r, t = random_names () in
           Match (opt s, opt r, opt t)
@@ -74,6 +77,12 @@ let gen_script db rng =
       | 7 ->
           let s, r, t = random_names () in
           Ins (s ^ "-SHARD" ^ string_of_int i, r, t)
+      | 8 ->
+          let s, _, t = random_names () and _, r, _ = random_names () in
+          Chk (s, r, t)
+      | 9 ->
+          let _, r, _ = random_names () and _, r', _ = random_names () in
+          Chk (r, "contra", r')
       | _ ->
           let s, r, t = random_names () in
           Rem (s, r, t)
@@ -87,7 +96,7 @@ let gen_script db rng =
 
 (* A step's observable output, sorted: the matrix may change the order
    answers are enumerated in, never the answers. *)
-let run_step db step =
+let run_step ~label db step =
   let symtab = Database.symtab db in
   let show f =
     let s, r, t = Fact.names symtab f in
@@ -106,6 +115,21 @@ let run_step db step =
             (List.map (String.concat ",") (Eval.rows_named symtab answer))
       | exception Query_parser.Parse_error _ -> [ "parse-error" ])
   | Ins (s, r, t) -> [ Printf.sprintf "ins:%b" (Database.insert_names db s r t) ]
+  | Chk (s, r, t) -> (
+      let fact = Fact.of_names symtab s r t in
+      let reference = Database.copy db in
+      let full =
+        if Database.insert reference fact then Integrity.violations reference else []
+      in
+      let verdict = Integrity.insert_checked db fact in
+      incr cases;
+      let vs = match verdict with Ok _ -> [] | Error vs -> vs in
+      if vs <> full then
+        failf label "checked insert of %s,%s,%s: %d violations, full scan %d" s r t
+          (List.length vs) (List.length full);
+      match verdict with
+      | Ok added -> [ Printf.sprintf "chk:%b" added ]
+      | Error vs -> "chk:rejected" :: List.sort compare (List.map (Integrity.describe db) vs))
   | Rem (s, r, t) -> [ Printf.sprintf "rem:%b" (Database.remove_names db s r t) ]
 
 (* The final state signature: every closure fact, by names, sorted. The
@@ -126,7 +150,7 @@ let oracle_signature db =
   List.sort compare
     (List.map (Fact.names symtab) (Oracle.facts (Oracle.of_database db)))
 
-let run_cell ~shards ~domains ~mode db script =
+let run_cell ~label ~shards ~domains ~mode db script =
   Database.set_shards db shards;
   Database.set_closure_mode db mode;
   let pool =
@@ -138,7 +162,7 @@ let run_cell ~shards ~domains ~mode db script =
       Database.set_pool db None;
       Option.iter Lsdb_exec.Pool.shutdown pool)
     (fun () ->
-      let outputs = List.map (run_step db) script in
+      let outputs = List.map (run_step ~label db) script in
       let final = final_signature db in
       (outputs, final, oracle_signature db = final))
 
@@ -147,8 +171,8 @@ let torture seed =
   let db0 = base_db rng in
   let script = gen_script db0 rng in
   let reference_out, reference_sig, matches_oracle =
-    run_cell ~shards:1 ~domains:1 ~mode:Database.Eager (Database.copy db0)
-      script
+    run_cell ~label:(Printf.sprintf "seed%d/reference" seed) ~shards:1 ~domains:1
+      ~mode:Database.Eager (Database.copy db0) script
   in
   incr cases;
   if not matches_oracle then
@@ -168,7 +192,7 @@ let torture seed =
                     | Database.Demand -> "demand")
                 in
                 let out, final, matches_oracle =
-                  run_cell ~shards ~domains ~mode (Database.copy db0) script
+                  run_cell ~label:case ~shards ~domains ~mode (Database.copy db0) script
                 in
                 incr cases;
                 if not matches_oracle then
@@ -207,7 +231,9 @@ let segment_torture seed =
     Index.set_policy policy;
     Fun.protect
       ~finally:(fun () -> Index.set_policy saved)
-      (fun () -> run_cell ~shards ~domains ~mode (Database.copy db0) script)
+      (fun () ->
+        run_cell ~label:(Printf.sprintf "seg-seed%d" seed) ~shards ~domains ~mode
+          (Database.copy db0) script)
   in
   List.iter
     (fun (shards, domains, mode, label) ->
