@@ -91,6 +91,12 @@ let time_ms f =
   let result = f () in
   (result, (Unix.gettimeofday () -. t0) *. 1e3)
 
+(* The identity gates (B14's reopened snapshot, B15's incrementally
+   maintained closure against a recompute, and the others that compare
+   two paths) bump this counter on a mismatch; the process exits nonzero
+   after the JSON dump. *)
+let equivalence_failures = ref 0
+
 (* Median-of-runs wall-clock, for macro operations. *)
 let measure_ms ?(runs = 5) f =
   let samples =
@@ -1009,8 +1015,50 @@ let b13 () =
 
 (* B14 — recovery throughput                                             *)
 
+(* Compact an organization of about [facts] base facts into a snapshot
+   on [vfs], then open it three times: the median open, and the median
+   open plus the first demand-mode nav. A reopened base that differs from
+   the compacted one counts as an equivalence failure. *)
+let snapshot_leg ~vfs ~dir ~facts =
+  let module P = Lsdb_storage.Persistent in
+  let employees = max 100 (facts / 4) in
+  let org =
+    Lsdb_workload.Org_gen.generate
+      ~params:{ Lsdb_workload.Org_gen.default_params with employees }
+      (Lsdb_workload.Rng.create 14)
+  in
+  let base db =
+    List.sort compare (List.map (Fact.names (Database.symtab db)) (Database.facts db))
+  in
+  let p = P.open_dir ~vfs dir in
+  List.iter (fun (s, r, t) -> ignore (P.insert_names p s r t)) org.Lsdb_workload.Org_gen.facts;
+  P.compact p;
+  let written = base (P.database p) in
+  P.close p;
+  let first = org.Lsdb_workload.Org_gen.employee_names.(0) in
+  let runs =
+    List.init 3 (fun _ ->
+        Gc.full_major ();
+        let t0 = Unix.gettimeofday () in
+        let p = P.open_dir ~vfs dir in
+        let open_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+        let db = P.database p in
+        Database.set_closure_mode db Database.Demand;
+        ignore (Navigation.neighborhood db (Database.entity db first));
+        let answer_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+        let same = base db = written in
+        P.close p;
+        (open_ms, answer_ms, same))
+  in
+  if not (List.for_all (fun (_, _, same) -> same) runs) then begin
+    incr equivalence_failures;
+    Printf.printf "B14: MISMATCH — a reopened snapshot's base differs from the written one\n"
+  end;
+  let median f = List.nth (List.sort compare (List.map f runs)) 1 in
+  (List.length written, median (fun (o, _, _) -> o), median (fun (_, a, _) -> a))
+
 let b14 () =
-  section "B14 — recovery: log replay and salvage throughput";
+  section "B14 — recovery: log replay, salvage and snapshot open throughput";
   let n_ops = if !quick then 20_000 else 100_000 in
   (* An in-memory faulty VFS keeps the numbers about the scanner, not
      the disk, and lets us corrupt the log surgically. *)
@@ -1079,14 +1127,32 @@ let b14 () =
       [ "log"; Printf.sprintf "%d ops, %.1f MiB" n_ops (float_of_int log_bytes /. 1048576.) ];
       [ "strict replay"; Printf.sprintf "%.1f ms (%.0f kops/s)" replay_ms (float_of_int n_ops /. replay_ms) ];
       [ "salvage (9 flips + torn tail)"; Printf.sprintf "%.1f ms (%.0f kops/s)" salvage_ms (float_of_int n_ops /. salvage_ms) ];
-    ]
+    ];
+  (* Snapshot opens: the base loads as one packed segment, no replay. At
+     full size the leg also runs at 1M facts, item 5's open target. *)
+  let sizes = if !quick then [ n_ops ] else [ n_ops; 1_000_000 ] in
+  let rows =
+    List.map
+      (fun facts ->
+        let n, open_ms, answer_ms =
+          snapshot_leg ~vfs:(Lsdb_storage.Vfs.faulty ()) ~dir:"/snap" ~facts
+        in
+        let tag = if facts = n_ops then "" else Printf.sprintf "_%dk" (facts / 1000) in
+        record ("b14/snapshot_open_ms" ^ tag) open_ms "ms";
+        record ("b14/snapshot_first_answer_ms" ^ tag) answer_ms "ms";
+        record ("b14/snapshot_open_kfacts_s" ^ tag) (float_of_int n /. open_ms) "kfacts/s";
+        [
+          Printf.sprintf "%d" n;
+          Printf.sprintf "%.1f" open_ms;
+          Printf.sprintf "%.0f" (float_of_int n /. open_ms);
+          Printf.sprintf "%.1f" answer_ms;
+        ])
+      sizes
+  in
+  Printf.printf "\nsnapshot opens (median of 3; first answer = open + a demand-mode nav):\n";
+  table [ "base facts"; "open ms"; "kfacts/s"; "first answer ms" ] rows
 
 (* B15 — incremental retraction (delete/rederive)                        *)
-
-(* B15 doubles as the CI smoke check: any divergence between the
-   incrementally maintained closure and a from-scratch recompute flips
-   this counter, and the process exits nonzero after the JSON dump. *)
-let equivalence_failures = ref 0
 
 let b15 () =
   section "B15 — incremental retraction: delete/rederive vs. invalidate-and-recompute";
@@ -2717,7 +2783,7 @@ let () =
   List.iter (fun (_, fn) -> fn ()) selected;
   Option.iter write_json !json_path;
   if !equivalence_failures > 0 then begin
-    Printf.eprintf "FAIL: %d incremental/recompute equivalence mismatch(es)\n"
+    Printf.eprintf "FAIL: %d equivalence mismatch(es)\n"
       !equivalence_failures;
     exit 1
   end;

@@ -142,6 +142,12 @@ let insert t fact =
 let insert_names t s r tgt = insert t (Fact.of_names t.symtab s r tgt)
 let insert_all t facts = List.iter (fun fact -> ignore (insert t fact)) facts
 
+(* A bulk load rebuilds the heap's segments, so it is a wholesale change:
+   the caches go and the generation moves once. *)
+let load t facts =
+  Store.load t.store facts;
+  invalidate t
+
 let remove t fact =
   let removed = Store.remove t.store fact in
   if removed then begin
@@ -311,12 +317,9 @@ let demand_state t =
                   Store.match_pattern t.store (Store.pattern ?s ?r ?t:tgt ()) f);
               bv_mem = (fun fact -> Store.mem t.store fact);
               bv_count =
-                (fun ~s ~r ~tgt ->
-                  Store.count_matches t.store (Store.pattern ?s ?r ?t:tgt ()));
-              bv_count_s =
-                (fun e -> Store.count_matches t.store (Store.pattern ~s:e ()));
-              bv_count_t =
-                (fun e -> Store.count_matches t.store (Store.pattern ~t:e ()));
+                (fun ~s ~r ~tgt -> Store.count_fast t.store { Store.s; r; t = tgt });
+              bv_count_s = (fun e -> Store.count_fast t.store (Store.pattern ~s:e ()));
+              bv_count_t = (fun e -> Store.count_fast t.store (Store.pattern ~t:e ()));
               bv_cardinal = (fun () -> Store.cardinal t.store);
             }
         in
@@ -671,7 +674,7 @@ let copy t =
     {
       uid = Atomic.fetch_and_add next_uid 1;
       symtab = Symtab.create ();
-      store = Store.create ~shards:(Store.shards t.store) ();
+      store = Store.copy t.store;
       relclass = Relclass.copy t.relclass;
       rules = t.rules;
       composition_limit = t.composition_limit;
@@ -695,6 +698,5 @@ let copy t =
   (* Re-intern names so the copy owns its symbol table; ids are preserved
      because interning replays in id order. *)
   Symtab.iter (fun id -> ignore (Symtab.intern fresh.symtab (Symtab.name t.symtab id))) t.symtab;
-  Store.iter (fun fact -> ignore (Store.add fresh.store fact)) t.store;
   fresh
 

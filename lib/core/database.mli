@@ -122,6 +122,13 @@ val insert_names : t -> string -> string -> string -> bool
 
 val insert_all : t -> Fact.t list -> unit
 
+(** [load t facts] adds every fact in one bulk load: each heap shard's
+    content, the new facts included, is folded into one packed segment
+    ({!Store.load}; the array may be kept, so it must not be mutated
+    afterwards). The closure caches are dropped and the generation is
+    bumped once. The snapshot decoder opens a database this way. *)
+val load : t -> Fact.t array -> unit
+
 (** [remove t fact] — [true] iff present (only base facts can be removed;
     derived facts disappear when their premises do — incrementally, by
     delete/rederive on next access; a removed base fact that is still

@@ -1,103 +1,34 @@
 module Shard = Lsdb_datalog.Shard
+module Index = Lsdb_datalog.Index
+module Int_tbl = Index.Int_tbl
 
-module Pair = struct
-  type t = int * int
-
-  let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-  let hash (a, b) = ((a * 0x9e3779b1) lxor (b * 0x85ebca77)) land max_int
-end
-
-module Pair_tbl = Hashtbl.Make (Pair)
-module Int_tbl = Hashtbl.Make (Int)
-
-type bucket = unit Fact.Tbl.t
-
-(* One shard of the heap: a full set of posting tables over the facts it
-   owns. Everything routable by source ([all], [by_sr], [by_st], [by_s])
-   is answered from one shard; source-unbound probes fan out across all
-   shards in index order. *)
-type sub = {
-  all : unit Fact.Tbl.t;
-  by_sr : bucket Pair_tbl.t;
-  by_st : bucket Pair_tbl.t;
-  by_rt : bucket Pair_tbl.t;
-  by_s : bucket Int_tbl.t;
-  by_r : bucket Int_tbl.t;
-  by_t : bucket Int_tbl.t;
-}
-
+(* One two-tier index per shard over the facts it owns. Everything
+   routable by source is answered from one shard; source-unbound probes
+   fan out across all shards in index order. *)
 type t = {
   mutable plan : Shard.plan;
-  mutable subs : sub array;  (* length = Shard.shards plan *)
-  refcount : int Int_tbl.t;  (* entity -> occurrences, across all shards *)
+  mutable subs : Index.t array;  (* length = Shard.shards plan *)
+  mutable refcount : int Int_tbl.t;  (* entity -> occurrences, across all shards *)
 }
 
 type pattern = { s : Entity.t option; r : Entity.t option; t : Entity.t option }
 
 let pattern ?s ?r ?t () = { s; r; t }
 
-let make_sub size_hint =
-  {
-    all = Fact.Tbl.create size_hint;
-    by_sr = Pair_tbl.create size_hint;
-    by_st = Pair_tbl.create size_hint;
-    by_rt = Pair_tbl.create size_hint;
-    by_s = Int_tbl.create size_hint;
-    by_r = Int_tbl.create size_hint;
-    by_t = Int_tbl.create size_hint;
-  }
+let make_subs plan size_hint =
+  Array.init (Shard.shards plan) (fun _ -> Index.create ~size_hint ())
 
 let create ?(size_hint = 256) ?(shards = 1) () =
   let plan = Shard.plan shards in
-  {
-    plan;
-    subs = Array.init (Shard.shards plan) (fun _ -> make_sub size_hint);
-    refcount = Int_tbl.create size_hint;
-  }
+  { plan; subs = make_subs plan size_hint; refcount = Int_tbl.create size_hint }
 
 let shards t = Shard.shards t.plan
 let shard_plan t = t.plan
 let sub_of t s = t.subs.(Shard.of_entity t.plan s)
 
-let bucket_add_pair tbl key fact =
-  let bucket =
-    match Pair_tbl.find_opt tbl key with
-    | Some b -> b
-    | None ->
-        let b = Fact.Tbl.create 4 in
-        Pair_tbl.add tbl key b;
-        b
-  in
-  Fact.Tbl.replace bucket fact ()
-
-let bucket_add_int tbl key fact =
-  let bucket =
-    match Int_tbl.find_opt tbl key with
-    | Some b -> b
-    | None ->
-        let b = Fact.Tbl.create 4 in
-        Int_tbl.add tbl key b;
-        b
-  in
-  Fact.Tbl.replace bucket fact ()
-
-let bucket_remove_pair tbl key fact =
-  match Pair_tbl.find_opt tbl key with
-  | None -> ()
-  | Some b ->
-      Fact.Tbl.remove b fact;
-      if Fact.Tbl.length b = 0 then Pair_tbl.remove tbl key
-
-let bucket_remove_int tbl key fact =
-  match Int_tbl.find_opt tbl key with
-  | None -> ()
-  | Some b ->
-      Fact.Tbl.remove b fact;
-      if Fact.Tbl.length b = 0 then Int_tbl.remove tbl key
-
-let ref_incr t e =
+let ref_add t e n =
   Int_tbl.replace t.refcount e
-    (1 + match Int_tbl.find_opt t.refcount e with Some n -> n | None -> 0)
+    (n + match Int_tbl.find t.refcount e with m -> m | exception Not_found -> 0)
 
 let ref_decr t e =
   match Int_tbl.find_opt t.refcount e with
@@ -106,134 +37,81 @@ let ref_decr t e =
   | Some n -> Int_tbl.replace t.refcount e (n - 1)
 
 let add t (fact : Fact.t) =
-  let sub = sub_of t fact.s in
-  if Fact.Tbl.mem sub.all fact then false
-  else begin
-    Fact.Tbl.add sub.all fact ();
-    bucket_add_pair sub.by_sr (fact.s, fact.r) fact;
-    bucket_add_pair sub.by_st (fact.s, fact.t) fact;
-    bucket_add_pair sub.by_rt (fact.r, fact.t) fact;
-    bucket_add_int sub.by_s fact.s fact;
-    bucket_add_int sub.by_r fact.r fact;
-    bucket_add_int sub.by_t fact.t fact;
-    ref_incr t fact.s;
-    ref_incr t fact.r;
-    ref_incr t fact.t;
-    true
-  end
+  Index.add (sub_of t fact.s) fact
+  && begin
+       ref_add t fact.s 1;
+       ref_add t fact.r 1;
+       ref_add t fact.t 1;
+       true
+     end
 
 let remove t (fact : Fact.t) =
-  let sub = sub_of t fact.s in
-  if not (Fact.Tbl.mem sub.all fact) then false
-  else begin
-    Fact.Tbl.remove sub.all fact;
-    bucket_remove_pair sub.by_sr (fact.s, fact.r) fact;
-    bucket_remove_pair sub.by_st (fact.s, fact.t) fact;
-    bucket_remove_pair sub.by_rt (fact.r, fact.t) fact;
-    bucket_remove_int sub.by_s fact.s fact;
-    bucket_remove_int sub.by_r fact.r fact;
-    bucket_remove_int sub.by_t fact.t fact;
-    ref_decr t fact.s;
-    ref_decr t fact.r;
-    ref_decr t fact.t;
-    true
-  end
+  Index.remove (sub_of t fact.s) fact
+  && begin
+       ref_decr t fact.s;
+       ref_decr t fact.r;
+       ref_decr t fact.t;
+       true
+     end
 
-let mem t (fact : Fact.t) = Fact.Tbl.mem (sub_of t fact.s).all fact
-
-let cardinal t =
-  Array.fold_left (fun n sub -> n + Fact.Tbl.length sub.all) 0 t.subs
-
-let shard_cardinals t = Array.map (fun sub -> Fact.Tbl.length sub.all) t.subs
+let mem t (fact : Fact.t) = Index.mem (sub_of t fact.s) fact
+let cardinal t = Array.fold_left (fun n sub -> n + Index.cardinal sub) 0 t.subs
+let shard_cardinals t = Array.map Index.cardinal t.subs
 let is_empty t = cardinal t = 0
 
 let clear t =
-  Array.iter
-    (fun sub ->
-      Fact.Tbl.reset sub.all;
-      Pair_tbl.reset sub.by_sr;
-      Pair_tbl.reset sub.by_st;
-      Pair_tbl.reset sub.by_rt;
-      Int_tbl.reset sub.by_s;
-      Int_tbl.reset sub.by_r;
-      Int_tbl.reset sub.by_t)
-    t.subs;
+  t.subs <- make_subs t.plan 256;
   Int_tbl.reset t.refcount
 
-let iter f t =
-  Array.iter (fun sub -> Fact.Tbl.iter (fun fact () -> f fact) sub.all) t.subs
+let iter f t = Array.iter (Index.iter f) t.subs
 
 let fold f t init =
-  Array.fold_left
-    (fun acc sub -> Fact.Tbl.fold (fun fact () acc -> f fact acc) sub.all acc)
-    init t.subs
+  let acc = ref init in
+  iter (fun fact -> acc := f fact !acc) t;
+  !acc
 
-let to_seq t =
-  Seq.concat_map
-    (fun sub -> Fact.Tbl.to_seq_keys sub.all)
-    (Array.to_seq t.subs)
-
+let to_seq t = Seq.concat_map Index.to_seq (Array.to_seq t.subs)
 let to_list t = List.of_seq (to_seq t)
 
-let iter_bucket f = function
-  | None -> ()
-  | Some bucket -> Fact.Tbl.iter (fun fact () -> f fact) bucket
+(* Fold [facts] into every shard's frozen segment, then recount the
+   entities once per distinct key. *)
+let load t (facts : Fact.t array) =
+  let n = Array.length t.subs in
+  if n = 1 then Index.load t.subs.(0) facts
+  else begin
+    let owner = Array.map (fun (fact : Fact.t) -> Shard.of_entity t.plan fact.s) facts in
+    let sizes = Array.make n 0 in
+    Array.iter (fun i -> sizes.(i) <- sizes.(i) + 1) owner;
+    let parts = Array.map (fun k -> Array.make k (Fact.make 0 0 0)) sizes in
+    Array.fill sizes 0 n 0;
+    Array.iteri
+      (fun j i ->
+        parts.(i).(sizes.(i)) <- facts.(j);
+        sizes.(i) <- sizes.(i) + 1)
+      owner;
+    Array.iteri (fun i part -> Index.load t.subs.(i) part) parts
+  end;
+  t.refcount <- Int_tbl.create (max 256 (Array.length facts / 2));
+  Array.iter (fun sub -> Index.occurrences sub (ref_add t)) t.subs
 
 (* Source-bound patterns touch exactly one shard; the rest fan out. *)
 let match_pattern t { s; r; t = tgt } f =
-  match (s, r, tgt) with
-  | Some s, Some r, Some tg ->
-      let fact = Fact.make s r tg in
-      if mem t fact then f fact
-  | Some s, Some r, None ->
-      iter_bucket f (Pair_tbl.find_opt (sub_of t s).by_sr (s, r))
-  | Some s, None, Some tg ->
-      iter_bucket f (Pair_tbl.find_opt (sub_of t s).by_st (s, tg))
-  | None, Some r, Some tg ->
-      Array.iter
-        (fun sub -> iter_bucket f (Pair_tbl.find_opt sub.by_rt (r, tg)))
-        t.subs
-  | Some s, None, None -> iter_bucket f (Int_tbl.find_opt (sub_of t s).by_s s)
-  | None, Some r, None ->
-      Array.iter (fun sub -> iter_bucket f (Int_tbl.find_opt sub.by_r r)) t.subs
-  | None, None, Some tg ->
-      Array.iter (fun sub -> iter_bucket f (Int_tbl.find_opt sub.by_t tg)) t.subs
-  | None, None, None -> iter f t
+  match s with
+  | Some e -> Index.candidates (sub_of t e) ~s ~r ~tgt f
+  | None -> Array.iter (fun sub -> Index.candidates sub ~s ~r ~tgt f) t.subs
 
 let match_list t pat =
   let acc = ref [] in
   match_pattern t pat (fun fact -> acc := fact :: !acc);
   !acc
 
-let count_matches t pat =
-  let n = ref 0 in
-  match_pattern t pat (fun _ -> incr n);
-  !n
-
-let bucket_len = function None -> 0 | Some b -> Fact.Tbl.length b
-
-(* Exact O(1) counts from bucket sizes (the heap has no tombstones) —
-   the cheap selectivity probe the sharded closure's view exposes for
-   join ordering. *)
+(* Exact O(1) counts (O(shards) for source-unbound patterns) from the
+   indexes' live posting lengths — the cheap selectivity probe behind
+   join ordering and the demand-mode degree hints. *)
 let count_fast t { s; r; t = tgt } =
-  match (s, r, tgt) with
-  | Some s, Some r, Some tg -> if mem t (Fact.make s r tg) then 1 else 0
-  | Some s, Some r, None -> bucket_len (Pair_tbl.find_opt (sub_of t s).by_sr (s, r))
-  | Some s, None, Some tg -> bucket_len (Pair_tbl.find_opt (sub_of t s).by_st (s, tg))
-  | None, Some r, Some tg ->
-      Array.fold_left
-        (fun n sub -> n + bucket_len (Pair_tbl.find_opt sub.by_rt (r, tg)))
-        0 t.subs
-  | Some s, None, None -> bucket_len (Int_tbl.find_opt (sub_of t s).by_s s)
-  | None, Some r, None ->
-      Array.fold_left
-        (fun n sub -> n + bucket_len (Int_tbl.find_opt sub.by_r r))
-        0 t.subs
-  | None, None, Some tg ->
-      Array.fold_left
-        (fun n sub -> n + bucket_len (Int_tbl.find_opt sub.by_t tg))
-        0 t.subs
-  | None, None, None -> cardinal t
+  match s with
+  | Some e -> Index.count (sub_of t e) ~s ~r ~tgt
+  | None -> Array.fold_left (fun n sub -> n + Index.count sub ~s ~r ~tgt) 0 t.subs
 
 exception Found
 
@@ -259,15 +137,13 @@ let entity_active t e = Int_tbl.mem t.refcount e
 let reshard t n =
   let plan = Shard.plan n in
   if Shard.shards plan <> Shard.shards t.plan then begin
-    let facts = to_list t in
-    let size_hint = max 256 (cardinal t / Shard.shards plan) in
+    let facts = Array.of_seq (to_seq t) in
     t.plan <- plan;
-    t.subs <- Array.init (Shard.shards plan) (fun _ -> make_sub size_hint);
-    Int_tbl.reset t.refcount;
-    List.iter (fun fact -> ignore (add t fact : bool)) facts
+    t.subs <- make_subs plan 256;
+    load t facts
   end
 
 let copy t =
-  let fresh = create ~size_hint:(max 256 (cardinal t)) ~shards:(shards t) () in
-  iter (fun fact -> ignore (add fresh fact)) t;
+  let fresh = create ~shards:(shards t) () in
+  load fresh (Array.of_seq (to_seq t));
   fresh

@@ -2,14 +2,17 @@
     hash-partitioned by source entity across [shards] internal shards
     ({!Lsdb_datalog.Shard}).
 
-    Supports insertion, deletion and matching for every bound-position
-    pattern in O(1) expected time per result; source-bound operations
-    touch exactly one shard, source-unbound probes fan out across all of
-    them. With the default single shard the layout is the classic
-    unpartitioned heap. A deliberately naive linear [match_scan] is also
-    exposed so the benchmarks can quantify what the indexes buy
-    (experiment B2) — the paper leaves "suitable storage strategies"
-    open (§6.2). *)
+    Each shard is one two-tier {!Lsdb_datalog.Index}: a packed frozen
+    segment, filled by {!load}, under a mutable delta tier that takes
+    {!add}s; {!remove} tombstones frozen facts in place. Matching answers
+    every bound-position pattern in O(1) per result and {!count_fast}
+    is exact in O(1); source-bound operations touch exactly one shard,
+    source-unbound probes fan out across all of them. Enumeration visits
+    the shards in order and, within a shard, the frozen segment in
+    ascending fact order, then the delta. A deliberately naive linear
+    [match_scan] is also exposed so the benchmarks can quantify what the
+    indexes buy (experiment B2) — the paper leaves "suitable storage
+    strategies" open (§6.2). *)
 
 type t
 
@@ -42,6 +45,14 @@ val add : t -> Fact.t -> bool
 (** [remove t fact] is [true] iff the fact was present. *)
 val remove : t -> Fact.t -> bool
 
+(** [load t facts] adds every fact (duplicates and facts already stored
+    included) and folds each shard's whole content into its frozen
+    segment. Facts that ascend strictly are not sorted again, and the
+    array may be kept as a segment: the caller must not mutate it
+    afterwards. Iteration order changes, as for {!reshard}; it must not
+    run while an iteration over the store is in flight. *)
+val load : t -> Fact.t array -> unit
+
 val mem : t -> Fact.t -> bool
 val cardinal : t -> int
 val is_empty : t -> bool
@@ -56,12 +67,11 @@ val to_list : t -> Fact.t list
 val match_pattern : t -> pattern -> (Fact.t -> unit) -> unit
 
 val match_list : t -> pattern -> Fact.t list
-val count_matches : t -> pattern -> int
 
-(** [count_fast t pat] — the number of facts matching [pat] in O(1)
-    (O(shards) for source-unbound patterns), from posting-bucket sizes.
-    Exact, unlike the closure index's tombstone-inclusive counts; the
-    cheap selectivity probe behind the sharded closure's join ordering. *)
+(** [count_fast t pat] — the exact number of facts matching [pat] in
+    O(1) (O(shards) for source-unbound patterns), from the live posting
+    lengths; the cheap selectivity probe behind the sharded closure's
+    join ordering and the demand-mode degree hints. *)
 val count_fast : t -> pattern -> int
 
 val exists_match : t -> pattern -> bool

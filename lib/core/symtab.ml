@@ -26,29 +26,40 @@ type t = {
   decomp : (int, decomposition) Hashtbl.t;  (* guarded by [lock] *)
 }
 
+(* Runs once per interned name, so a name with a non-numeric byte is
+   rejected at that byte, before anything is allocated. *)
 let parse_numeric s =
   let n = String.length s in
-  if n = 0 then None
+  let start = if n > 0 && s.[0] = '$' then 1 else 0 in
+  let i = ref start and commas = ref false in
+  while
+    !i < n
+    &&
+    match s.[!i] with
+    | ',' ->
+        commas := true;
+        true
+    | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
+    | _ -> false
+  do
+    incr i
+  done;
+  if start >= n || !i < n then None
   else
-    let start = if s.[0] = '$' then 1 else 0 in
-    if start >= n then None
-    else
-      let buf = Buffer.create n in
-      let ok = ref true in
-      for i = start to n - 1 do
-        match s.[i] with
-        | ',' -> ()
-        | ('0' .. '9' | '.' | '-' | '+' | 'e' | 'E') as c -> Buffer.add_char buf c
-        | _ -> ok := false
-      done;
-      if not !ok then None else float_of_string_opt (Buffer.contents buf)
+    let body = String.sub s start (n - start) in
+    float_of_string_opt
+      (if !commas then String.concat "" (String.split_on_char ',' body) else body)
 
 (* Callers hold [lock]. *)
 let grow t id =
   let names = Atomic.get t.names in
   let cap = Array.length names in
   if id >= cap then begin
-    let cap' = max 16 (cap * 2) in
+    let cap' = ref (max 16 (cap * 2)) in
+    while id >= !cap' do
+      cap' := !cap' * 2
+    done;
+    let cap' = !cap' in
     let names' = Array.make cap' "" in
     Array.blit names 0 names' 0 cap;
     let numeric' = Array.make cap' nan in
@@ -109,6 +120,14 @@ let intern t name =
       match Hashtbl.find_opt t.table name with
       | Some id -> id
       | None -> raw_add t name)
+
+let intern_all t names =
+  with_lock t (fun () ->
+      grow t (Atomic.get t.next + Array.length names - 1);
+      Array.map
+        (fun name ->
+          match Hashtbl.find_opt t.table name with Some id -> id | None -> raw_add t name)
+        names)
 
 let name t id =
   if id < 0 || id >= Atomic.get t.next then

@@ -18,6 +18,10 @@ val create : unit -> t
     Aliases of special entities resolve to the special id. *)
 val intern : t -> string -> Entity.t
 
+(** [intern_all t names] interns every name in order, under one lock
+    acquisition: the ids, as {!intern} would return them one by one. *)
+val intern_all : t -> string array -> Entity.t array
+
 (** [find t name] is the id of [name] if already interned. *)
 val find : t -> string -> Entity.t option
 

@@ -50,16 +50,27 @@ type cell = {
    memory instead of chasing record pointers.
 
    Because the spine sort is (s,r,t)-lexicographic, the [by_s] and
-   [by_sr] access paths are contiguous id ranges ([r_s]/[r_sr]); the
-   other four paths are packed id postings in ascending id order, which
-   makes each posting's free coordinate ascend too: within [p_rt] key
-   (r,t) the source ascends, within [p_st] key (s,t) the relationship
-   ascends, and within an [r_sr] range the target ascends — exactly the
-   sorted-set shape galloping intersection needs.
+   [by_sr] access paths are contiguous id ranges. The other four paths
+   are runs of an id order: [o_r] holds every id sorted by (r, id),
+   [o_t] by (t, id), [o_st] by (s, t, id), [o_rt] by (r, t, id). Ids
+   ascend within a run, so each posting's free coordinate ascends too:
+   within an (r,t) run the source ascends, within an (s,t) run the
+   relationship ascends, and within an (s,r) range the target ascends —
+   exactly the sorted-set shape galloping intersection needs.
+
+   Key tables map a key to its run as a {!span}, one immediate int, so
+   lookups allocate nothing and counts are O(1): [r_s] and [r_sr] into
+   the spine, [p_r], [p_t], [p_st] and [p_rt] into the id orders.
 
    Removal tombstones ids in [dead_bits] (folded away by the next
    freeze); sparse per-key tombstone counters keep [count] exact between
    freezes without a full sweep. *)
+
+(* A half-open run [lo, hi) packed in one int; segments stay below 2^31
+   slots, like the entity ids [key2] packs. *)
+let span lo hi = (lo lsl 31) lor hi
+let span_lo v = v lsr 31
+let span_hi v = v land 0x7FFF_FFFF
 
 type seg = {
   tri : Triple.t array;
@@ -68,12 +79,16 @@ type seg = {
   ft : int array;
   dead_bits : Bytes.t;
   mutable ndead : int;
-  r_s : (int * int) Int_tbl.t;  (* s -> [lo,hi) *)
-  r_sr : (int * int) Int_tbl.t;  (* key2 s r -> [lo,hi) *)
-  p_r : int array Int_tbl.t;
-  p_t : int array Int_tbl.t;
-  p_st : int array Int_tbl.t;  (* key2 s t *)
-  p_rt : int array Int_tbl.t;  (* key2 r t *)
+  r_s : int Int_tbl.t;  (* s -> spine span *)
+  r_sr : int Int_tbl.t;  (* key2 s r -> spine span *)
+  o_r : int array;
+  o_t : int array;
+  o_st : int array;
+  o_rt : int array;
+  p_r : int Int_tbl.t;  (* r -> span of [o_r] *)
+  p_t : int Int_tbl.t;  (* t -> span of [o_t] *)
+  p_st : int Int_tbl.t;  (* key2 s t -> span of [o_st] *)
+  p_rt : int Int_tbl.t;  (* key2 r t -> span of [o_rt] *)
   d_s : int Int_tbl.t;  (* per-key tombstone counts, sparse *)
   d_r : int Int_tbl.t;
   d_t : int Int_tbl.t;
@@ -94,6 +109,10 @@ let empty_seg =
     ndead = 0;
     r_s = Int_tbl.create 1;
     r_sr = Int_tbl.create 1;
+    o_r = [||];
+    o_t = [||];
+    o_st = [||];
+    o_rt = [||];
     p_r = Int_tbl.create 1;
     p_t = Int_tbl.create 1;
     p_st = Int_tbl.create 1;
@@ -158,23 +177,23 @@ let clear_dead fz id =
        land 0xff));
   fz.ndead <- fz.ndead - 1
 
-(* The id of [x] in the segment (dead or alive), or -1: range lookup on
-   (s,r), then binary search on the target coordinate within it.
-   [find]-with-exception rather than [find_opt]: this runs once per
-   dedup probe of the fixpoint, and the [Some] box would be a minor
-   allocation per probe. *)
+(* A key's span, or the empty span 0. [find]-with-exception rather than
+   [find_opt]: this runs once per dedup probe of the fixpoint, and the
+   [Some] box would be a minor allocation per probe. *)
+let find_span tbl key = match Int_tbl.find tbl key with sp -> sp | exception Not_found -> 0
+
+(* The id of [x] in the segment (dead or alive), or -1: the (s,r) run,
+   then binary search on the target coordinate within it. *)
 let seg_find fz (x : Triple.t) =
-  match Int_tbl.find fz.r_sr (key2 x.Triple.s x.Triple.r) with
-  | exception Not_found -> -1
-  | l, h ->
-      let tv = x.Triple.t in
-      let lo = ref l and hi = ref h and res = ref (-1) in
-      while !res < 0 && !lo < !hi do
-        let mid = (!lo + !hi) lsr 1 in
-        let v = Array.unsafe_get fz.ft mid in
-        if v = tv then res := mid else if v < tv then lo := mid + 1 else hi := mid
-      done;
-      !res
+  let sp = find_span fz.r_sr (key2 x.Triple.s x.Triple.r) in
+  let tv = x.Triple.t in
+  let lo = ref (span_lo sp) and hi = ref (span_hi sp) and res = ref (-1) in
+  while !res < 0 && !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let v = Array.unsafe_get fz.ft mid in
+    if v = tv then res := mid else if v < tv then lo := mid + 1 else hi := mid
+  done;
+  !res
 
 let frozen_mem fz x =
   let id = seg_find fz x in
@@ -388,27 +407,19 @@ let iter_range fz lo hi f =
       if not (is_dead fz id) then f (Array.unsafe_get fz.tri id)
     done
 
-let iter_ids fz ids f =
-  let n = Array.length ids in
+let iter_ids fz ids lo hi f =
   if fz.ndead = 0 then
-    for i = 0 to n - 1 do
+    for i = lo to hi - 1 do
       f (Array.unsafe_get fz.tri (Array.unsafe_get ids i))
     done
   else
-    for i = 0 to n - 1 do
+    for i = lo to hi - 1 do
       let id = Array.unsafe_get ids i in
       if not (is_dead fz id) then f (Array.unsafe_get fz.tri id)
     done
 
-let frozen_range tbl key f fz =
-  match Int_tbl.find tbl key with
-  | lo, hi -> iter_range fz lo hi f
-  | exception Not_found -> ()
-
-let frozen_posting tbl key f fz =
-  match Int_tbl.find tbl key with
-  | ids -> iter_ids fz ids f
-  | exception Not_found -> ()
+let frozen_range sp f fz = iter_range fz (span_lo sp) (span_hi sp) f
+let frozen_posting ids sp f fz = iter_ids fz ids (span_lo sp) (span_hi sp) f
 
 let candidates idx ~s ~r ~tgt f =
   let fz = idx.fz in
@@ -417,22 +428,22 @@ let candidates idx ~s ~r ~tgt f =
       let x = Triple.make s r t in
       if mem idx x then f x
   | Some s, Some r, None ->
-      frozen_range fz.r_sr (key2 s r) f fz;
+      frozen_range (find_span fz.r_sr (key2 s r)) f fz;
       iter_pair idx idx.by_sr (s, r) f
   | Some s, None, Some t ->
-      frozen_posting fz.p_st (key2 s t) f fz;
+      frozen_posting fz.o_st (find_span fz.p_st (key2 s t)) f fz;
       iter_pair idx idx.by_st (s, t) f
   | None, Some r, Some t ->
-      frozen_posting fz.p_rt (key2 r t) f fz;
+      frozen_posting fz.o_rt (find_span fz.p_rt (key2 r t)) f fz;
       iter_pair idx idx.by_rt (r, t) f
   | Some s, None, None ->
-      frozen_range fz.r_s s f fz;
+      frozen_range (find_span fz.r_s s) f fz;
       iter_int idx idx.by_s s f
   | None, Some r, None ->
-      frozen_posting fz.p_r r f fz;
+      frozen_posting fz.o_r (find_span fz.p_r r) f fz;
       iter_int idx idx.by_r r f
   | None, None, Some t ->
-      frozen_posting fz.p_t t f fz;
+      frozen_posting fz.o_t (find_span fz.p_t t) f fz;
       iter_int idx idx.by_t t f
   | None, None, None -> iter f idx
 
@@ -448,51 +459,101 @@ let cell_live_int tbl key =
   | Some cell -> cell.len - cell.dead
   | None -> 0
 
-let frozen_live_range tbl dead key =
-  match Int_tbl.find tbl key with
-  | lo, hi -> hi - lo - dead_i dead key
-  | exception Not_found -> 0
-
-let frozen_live_posting tbl dead key =
-  match Int_tbl.find tbl key with
-  | ids -> Array.length ids - dead_i dead key
-  | exception Not_found -> 0
+(* Ranges and postings are both spans, so one count serves every path. *)
+let frozen_live sp dead key =
+  if sp = 0 then 0 else span_hi sp - span_lo sp - dead_i dead key
 
 let count idx ~s ~r ~tgt =
   let fz = idx.fz in
   match (s, r, tgt) with
   | Some s, Some r, Some t -> if mem idx (Triple.make s r t) then 1 else 0
   | Some s, Some r, None ->
-      frozen_live_range fz.r_sr fz.d_sr (key2 s r)
+      frozen_live (find_span fz.r_sr (key2 s r)) fz.d_sr (key2 s r)
       + cell_live_pair idx.by_sr (s, r)
   | Some s, None, Some t ->
-      frozen_live_posting fz.p_st fz.d_st (key2 s t)
+      frozen_live (find_span fz.p_st (key2 s t)) fz.d_st (key2 s t)
       + cell_live_pair idx.by_st (s, t)
   | None, Some r, Some t ->
-      frozen_live_posting fz.p_rt fz.d_rt (key2 r t)
+      frozen_live (find_span fz.p_rt (key2 r t)) fz.d_rt (key2 r t)
       + cell_live_pair idx.by_rt (r, t)
   | Some s, None, None ->
-      frozen_live_range fz.r_s fz.d_s s + cell_live_int idx.by_s s
+      frozen_live (find_span fz.r_s s) fz.d_s s + cell_live_int idx.by_s s
   | None, Some r, None ->
-      frozen_live_posting fz.p_r fz.d_r r + cell_live_int idx.by_r r
+      frozen_live (find_span fz.p_r r) fz.d_r r + cell_live_int idx.by_r r
   | None, None, Some t ->
-      frozen_live_posting fz.p_t fz.d_t t + cell_live_int idx.by_t t
+      frozen_live (find_span fz.p_t t) fz.d_t t + cell_live_int idx.by_t t
   | None, None, None -> cardinal idx
 
 let count_s idx s =
-  frozen_live_range idx.fz.r_s idx.fz.d_s s + cell_live_int idx.by_s s
+  frozen_live (find_span idx.fz.r_s s) idx.fz.d_s s + cell_live_int idx.by_s s
 
 let count_t idx t =
-  frozen_live_posting idx.fz.p_t idx.fz.d_t t + cell_live_int idx.by_t t
+  frozen_live (find_span idx.fz.p_t t) idx.fz.d_t t + cell_live_int idx.by_t t
 
 (* --- freezing ------------------------------------------------------- *)
 
 let dummy_triple = Triple.make 0 0 0
 
+(* [ids] stably sorted by [key.(id)] (keys are non-negative): an LSD
+   radix sort, 11 bits a pass, so dense entity ids take two counting
+   passes and no comparison. [ids] itself is left untouched. *)
+let radix_bits = 11
+let radix_mask = (1 lsl radix_bits) - 1
+
+let sort_ids_by (key : int array) (ids : int array) =
+  let n = Array.length ids in
+  let top = ref 0 in
+  for i = 0 to n - 1 do
+    let k = Array.unsafe_get key (Array.unsafe_get ids i) in
+    if k > !top then top := k
+  done;
+  let counts = Array.make (radix_mask + 2) 0 in
+  let src = ref ids and spare = ref [||] and shift = ref 0 in
+  while !shift = 0 || !top lsr !shift > 0 do
+    let sh = !shift and from = !src in
+    let into = if Array.length !spare = n then !spare else Array.make n 0 in
+    Array.fill counts 0 (radix_mask + 2) 0;
+    for i = 0 to n - 1 do
+      let b = 1 + ((Array.unsafe_get key (Array.unsafe_get from i) lsr sh) land radix_mask) in
+      Array.unsafe_set counts b (Array.unsafe_get counts b + 1)
+    done;
+    for b = 1 to radix_mask + 1 do
+      Array.unsafe_set counts b (Array.unsafe_get counts b + Array.unsafe_get counts (b - 1))
+    done;
+    for i = 0 to n - 1 do
+      let id = Array.unsafe_get from i in
+      let b = (Array.unsafe_get key id lsr sh) land radix_mask in
+      let at = Array.unsafe_get counts b in
+      Array.unsafe_set into at id;
+      Array.unsafe_set counts b (at + 1)
+    done;
+    if from != ids then spare := from;
+    src := into;
+    shift := sh + radix_bits
+  done;
+  !src
+
+(* One table entry per run of equal [key i] over positions [0, n): the
+   run's span. Sized to the exact run count, so it never rehashes. *)
+let runs n key =
+  let distinct = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || key i <> key (i - 1) then incr distinct
+  done;
+  let tbl = Int_tbl.create (max 1 !distinct) in
+  let lo = ref 0 in
+  for i = 1 to n do
+    if i = n || key i <> key !lo then begin
+      Int_tbl.add tbl (key !lo) (span !lo i);
+      lo := i
+    end
+  done;
+  tbl
+
 (* Build a segment over [tris], which must be sorted by [Triple.compare]
-   and duplicate-free. Contiguous ranges (r_s/r_sr) come from one run
-   scan; scattered postings are built count-then-fill, with the count
-   tables reused as fill cursors — no cons cell is allocated per fact. *)
+   and duplicate-free; the segment keeps the array as its spine. Ids are
+   grouped by radix-sorting on each coordinate and every key table is
+   filled once per distinct key — no hashtable operation per fact. *)
 let build_seg (tris : Triple.t array) : seg =
   let n = Array.length tris in
   let fs = Array.make n 0 and fr = Array.make n 0 and ft = Array.make n 0 in
@@ -502,60 +563,10 @@ let build_seg (tris : Triple.t array) : seg =
     Array.unsafe_set fr id x.Triple.r;
     Array.unsafe_set ft id x.Triple.t
   done;
-  let r_s = Int_tbl.create (max 16 (n / 8)) in
-  let r_sr = Int_tbl.create (max 16 (n / 4)) in
-  let i = ref 0 in
-  while !i < n do
-    let s = fs.(!i) in
-    let j = ref !i in
-    while !j < n && fs.(!j) = s do
-      let r = fr.(!j) in
-      let k = ref !j in
-      while !k < n && fs.(!k) = s && fr.(!k) = r do
-        incr k
-      done;
-      Int_tbl.add r_sr (key2 s r) (!j, !k);
-      j := !k
-    done;
-    Int_tbl.add r_s s (!i, !j);
-    i := !j
-  done;
-  let c_r = Int_tbl.create (max 16 (n / 8)) in
-  let c_t = Int_tbl.create (max 16 (n / 8)) in
-  let c_st = Int_tbl.create (max 16 (n / 4)) in
-  let c_rt = Int_tbl.create (max 16 (n / 4)) in
-  let ci tbl k =
-    Int_tbl.replace tbl k
-      (1 + match Int_tbl.find tbl k with v -> v | exception Not_found -> 0)
-  in
-  for id = 0 to n - 1 do
-    ci c_r fr.(id);
-    ci c_t ft.(id);
-    ci c_st (key2 fs.(id) ft.(id));
-    ci c_rt (key2 fr.(id) ft.(id))
-  done;
-  let c_to_p c =
-    let p = Int_tbl.create (max 1 (Int_tbl.length c)) in
-    Int_tbl.iter (fun k n -> Int_tbl.add p k (Array.make n 0)) c;
-    Int_tbl.filter_map_inplace (fun _ _ -> Some 0) c;
-    p
-  in
-  let p_r = c_to_p c_r in
-  let p_t = c_to_p c_t in
-  let p_st = c_to_p c_st in
-  let p_rt = c_to_p c_rt in
-  let fi ptbl ctbl k id =
-    let arr = Int_tbl.find ptbl k in
-    let c = Int_tbl.find ctbl k in
-    arr.(c) <- id;
-    Int_tbl.replace ctbl k (c + 1)
-  in
-  for id = 0 to n - 1 do
-    fi p_r c_r fr.(id) id;
-    fi p_t c_t ft.(id) id;
-    fi p_st c_st (key2 fs.(id) ft.(id)) id;
-    fi p_rt c_rt (key2 fr.(id) ft.(id)) id
-  done;
+  let o_t = sort_ids_by ft (Array.init n Fun.id) in
+  let o_r = sort_ids_by fr (Array.init n Fun.id) in
+  let o_rt = sort_ids_by fr o_t in
+  let o_st = sort_ids_by fs o_t in
   {
     tri = tris;
     fs;
@@ -563,12 +574,16 @@ let build_seg (tris : Triple.t array) : seg =
     ft;
     dead_bits = Bytes.make ((n + 7) / 8) '\000';
     ndead = 0;
-    r_s;
-    r_sr;
-    p_r;
-    p_t;
-    p_st;
-    p_rt;
+    r_s = runs n (fun i -> fs.(i));
+    r_sr = runs n (fun i -> key2 fs.(i) fr.(i));
+    o_r;
+    o_t;
+    o_st;
+    o_rt;
+    p_r = runs n (fun i -> fr.(o_r.(i)));
+    p_t = runs n (fun i -> ft.(o_t.(i)));
+    p_st = runs n (fun i -> let id = o_st.(i) in key2 fs.(id) ft.(id));
+    p_rt = runs n (fun i -> let id = o_rt.(i) in key2 fr.(id) ft.(id));
     d_s = Int_tbl.create 16;
     d_r = Int_tbl.create 16;
     d_t = Int_tbl.create 16;
@@ -587,63 +602,99 @@ let clear_delta idx =
   Int_tbl.reset idx.by_r;
   Int_tbl.reset idx.by_t
 
-let freeze idx =
+let strictly_ascending (arr : Triple.t array) =
+  let ok = ref true and i = ref 1 in
+  while !ok && !i < Array.length arr do
+    ok := Triple.compare arr.(!i - 1) arr.(!i) < 0;
+    incr i
+  done;
+  !ok
+
+(* The union of two sorted, duplicate-free arrays, sorted and
+   duplicate-free. *)
+let union (a : Triple.t array) (b : Triple.t array) =
+  let na = Array.length a and nb = Array.length b in
+  if na = 0 then b
+  else if nb = 0 then a
+  else begin
+    let out = Array.make (na + nb) dummy_triple in
+    let i = ref 0 and j = ref 0 and w = ref 0 in
+    while !i < na || !j < nb do
+      let c =
+        if !i = na then 1 else if !j = nb then -1 else Triple.compare a.(!i) b.(!j)
+      in
+      out.(!w) <- (if c <= 0 then a.(!i) else b.(!j));
+      incr w;
+      if c <= 0 then incr i;
+      if c >= 0 then incr j
+    done;
+    if !w = na + nb then out else Array.sub out 0 !w
+  end
+
+(* The live content in spine order: the frozen live run merged with the
+   sorted delta. *)
+let live_sorted idx =
   let fz = idx.fz in
-  let dn = Triple.Tbl.length idx.dmem in
-  if dn = 0 && fz.ndead = 0 then
+  let frozen =
+    if fz.ndead = 0 then fz.tri
+    else begin
+      let out = Array.make (seg_live fz) dummy_triple and w = ref 0 in
+      Array.iteri
+        (fun id x ->
+          if not (is_dead fz id) then begin
+            out.(!w) <- x;
+            incr w
+          end)
+        fz.tri;
+      out
+    end
+  in
+  let delta = Array.make (Triple.Tbl.length idx.dmem) dummy_triple and w = ref 0 in
+  Triple.Tbl.iter
+    (fun x () ->
+      delta.(!w) <- x;
+      incr w)
+    idx.dmem;
+  Array.sort Triple.compare delta;
+  (* The tiers are disjoint — [add] resurrects rather than re-inserting. *)
+  union frozen delta
+
+(* Fold the delta, every tombstone and the sorted, duplicate-free [extra]
+   into one fresh segment. *)
+let rebuild idx extra =
+  idx.fz <- build_seg (union (live_sorted idx) extra);
+  clear_delta idx;
+  idx.freezes <- idx.freezes + 1
+
+let freeze idx =
+  if Triple.Tbl.length idx.dmem = 0 && idx.fz.ndead = 0 then begin
     (* Nothing to fold into the spine: just drop the (entirely dead, if
        anything) delta postings. Covers the 100%-dead-delta case without
        a rebuild. *)
-    clear_delta idx
+    clear_delta idx;
+    idx.freezes <- idx.freezes + 1
+  end
+  else rebuild idx [||]
+
+(* [arr] sorted and without duplicates; [arr] itself when it already
+   ascends strictly. *)
+let sorted_distinct (arr : Triple.t array) =
+  if strictly_ascending arr then arr
   else begin
-    let delta = Array.make dn dummy_triple in
+    let a = Array.copy arr in
+    Array.sort Triple.compare a;
     let w = ref 0 in
-    Triple.Tbl.iter
-      (fun x () ->
-        delta.(!w) <- x;
-        incr w)
-      idx.dmem;
-    Array.sort Triple.compare delta;
-    (* Merge the frozen live run (already sorted) with the sorted delta.
-       The two sets are disjoint — [add] resurrects rather than
-       re-inserting — so this is a strict interleave. *)
-    let n = seg_len fz in
-    let merged = Array.make (seg_live fz + dn) dummy_triple in
-    let out = ref 0 and fi = ref 0 and di = ref 0 in
-    let skip () =
-      while !fi < n && is_dead fz !fi do
-        incr fi
-      done
-    in
-    skip ();
-    while !fi < n && !di < dn do
-      if Triple.compare fz.tri.(!fi) delta.(!di) < 0 then begin
-        merged.(!out) <- fz.tri.(!fi);
-        incr out;
-        incr fi;
-        skip ()
-      end
-      else begin
-        merged.(!out) <- delta.(!di);
-        incr out;
-        incr di
-      end
-    done;
-    while !fi < n do
-      merged.(!out) <- fz.tri.(!fi);
-      incr out;
-      incr fi;
-      skip ()
-    done;
-    while !di < dn do
-      merged.(!out) <- delta.(!di);
-      incr out;
-      incr di
-    done;
-    idx.fz <- build_seg merged;
-    clear_delta idx
-  end;
-  idx.freezes <- idx.freezes + 1
+    Array.iteri
+      (fun i x ->
+        if i = 0 || Triple.compare a.(!w - 1) x <> 0 then begin
+          a.(!w) <- x;
+          incr w
+        end)
+      a;
+    if !w = Array.length a then a else Array.sub a 0 !w
+  end
+
+let load idx arr = rebuild idx (sorted_distinct arr)
 
 (* --- freeze policy -------------------------------------------------- *)
 
@@ -691,38 +742,48 @@ let bulk_add idx (arr : Triple.t array) =
     Array.iter (fun x -> if add idx x then fresh := x :: !fresh) arr;
     List.rev !fresh
   end
+  else if strictly_ascending arr then begin
+    (* Already in spine order: every triple is fresh, in input order. *)
+    rebuild idx arr;
+    Array.to_list arr
+  end
   else begin
     (* Sort a permutation by (triple, first occurrence): run heads are
        the distinct triples in spine order AND carry the earliest input
        position, which recovers the fresh-triple order an add loop would
-       have reported. Builds the frozen segment directly — no per-fact
-       hashtable insert, no posting cons cells. *)
+       have reported. *)
     let perm = Array.init n (fun i -> i) in
     Array.sort
       (fun i j ->
         let c = Triple.compare arr.(i) arr.(j) in
         if c <> 0 then c else Int.compare i j)
       perm;
-    let distinct = ref 0 in
-    for k = 0 to n - 1 do
+    let heads = ref [] in
+    for k = n - 1 downto 0 do
       if k = 0 || Triple.compare arr.(perm.(k)) arr.(perm.(k - 1)) <> 0 then
-        incr distinct
+        heads := perm.(k) :: !heads
     done;
-    let tris = Array.make !distinct dummy_triple in
-    let firsts = Array.make !distinct 0 in
-    let w = ref 0 in
-    for k = 0 to n - 1 do
-      if k = 0 || Triple.compare arr.(perm.(k)) arr.(perm.(k - 1)) <> 0 then begin
-        tris.(!w) <- arr.(perm.(k));
-        firsts.(!w) <- perm.(k);
-        incr w
-      end
-    done;
-    idx.fz <- build_seg tris;
-    idx.freezes <- idx.freezes + 1;
+    let firsts = Array.of_list !heads in
+    rebuild idx (Array.map (fun p -> arr.(p)) firsts);
     Array.sort Int.compare firsts;
     Array.fold_right (fun p acc -> arr.(p) :: acc) firsts []
   end
+
+(* --- entity occurrences --------------------------------------------- *)
+
+let occurrences idx f =
+  let fz = idx.fz in
+  let emit e n = if n > 0 then f e n in
+  let frozen tbl dead =
+    Int_tbl.iter (fun e sp -> emit e (span_hi sp - span_lo sp - dead_i dead e)) tbl
+  in
+  let delta tbl = Int_tbl.iter (fun e cell -> emit e (cell.len - cell.dead)) tbl in
+  frozen fz.r_s fz.d_s;
+  frozen fz.p_r fz.d_r;
+  frozen fz.p_t fz.d_t;
+  delta idx.by_s;
+  delta idx.by_r;
+  delta idx.by_t
 
 (* --- tier statistics ------------------------------------------------ *)
 
@@ -766,35 +827,27 @@ let hinge_triple h v =
   | Via { s; t } -> Triple.make s v t
 
 (* A hinge's frozen posting: [f_len] ids whose free coordinate
-   ([f_proj].(id)) ascends. [f_ids == no_ids] marks a contiguous range
-   starting at [f_lo] (ids are positions); otherwise ids come from the
-   posting array. Real postings are never length zero, so the physical
-   equality is unambiguous. *)
+   ([f_proj].(id)) ascends, from position [f_lo] on. [f_ids == no_ids]
+   marks a contiguous spine range (ids are positions); otherwise ids come
+   from the id order [f_ids]. An id order is empty only in an empty
+   segment, where [f_len] is 0, so the physical equality is
+   unambiguous. *)
 let no_ids : int array = [||]
 
 type fspan = { f_ids : int array; f_lo : int; f_len : int; f_proj : int array }
 
 let fspan_of idx h =
   let fz = idx.fz in
-  let empty proj = { f_ids = no_ids; f_lo = 0; f_len = 0; f_proj = proj } in
+  let of_span sp ids proj =
+    { f_ids = ids; f_lo = span_lo sp; f_len = span_hi sp - span_lo sp; f_proj = proj }
+  in
   match h with
-  | Out { s; r } -> (
-      match Int_tbl.find fz.r_sr (key2 s r) with
-      | lo, hi -> { f_ids = no_ids; f_lo = lo; f_len = hi - lo; f_proj = fz.ft }
-      | exception Not_found -> empty fz.ft)
-  | In { r; t } -> (
-      match Int_tbl.find fz.p_rt (key2 r t) with
-      | ids ->
-          { f_ids = ids; f_lo = 0; f_len = Array.length ids; f_proj = fz.fs }
-      | exception Not_found -> empty fz.fs)
-  | Via { s; t } -> (
-      match Int_tbl.find fz.p_st (key2 s t) with
-      | ids ->
-          { f_ids = ids; f_lo = 0; f_len = Array.length ids; f_proj = fz.fr }
-      | exception Not_found -> empty fz.fr)
+  | Out { s; r } -> of_span (find_span fz.r_sr (key2 s r)) no_ids fz.ft
+  | In { r; t } -> of_span (find_span fz.p_rt (key2 r t)) fz.o_rt fz.fs
+  | Via { s; t } -> of_span (find_span fz.p_st (key2 s t)) fz.o_st fz.fr
 
 let sp_id sp i =
-  if sp.f_ids == no_ids then sp.f_lo + i else Array.unsafe_get sp.f_ids i
+  if sp.f_ids == no_ids then sp.f_lo + i else Array.unsafe_get sp.f_ids (sp.f_lo + i)
 
 let sp_val sp i = Array.unsafe_get sp.f_proj (sp_id sp i)
 

@@ -3,9 +3,12 @@
     The {e frozen tier} is one immutable packed segment — the triples
     sorted by [Triple.compare] in a flat spine with struct-of-arrays
     coordinate mirrors, contiguous ranges for the [s]/[(s,r)] access
-    paths and packed id postings for the other four. Iteration over it is
-    cache-linear, membership is a binary search, counts are exact, and
-    two postings can be intersected by galloping ({!intersect}).
+    paths and runs of four id orders for the other four. A segment is
+    built by radix-sorting ids on each coordinate, with one table entry
+    per distinct key and no hashtable operation per triple. Iteration
+    over it is cache-linear, membership is a binary search, counts are
+    exact, and two postings can be intersected by galloping
+    ({!intersect}).
 
     The {e delta tier} keeps recent inserts in the classic mutable list
     cells. {!freeze} folds the delta (and any tombstones) into a new
@@ -13,6 +16,10 @@
     the engines at closure-round barriers — the natural single-threaded
     quiesce points — so indexes migrate toward the packed layout as they
     grow while small, churning indexes stay pure delta. *)
+
+(** Tables keyed by entity ids, hashed with two integer operations
+    instead of [Int.hash]'s C call. *)
+module Int_tbl : Hashtbl.S with type key = int
 
 type t
 
@@ -86,11 +93,28 @@ val quiesce : t -> unit
 
 (** [bulk_add t triples] adds every triple, returning the fresh ones in
     first-occurrence order — observably identical to folding {!add}. On
-    a virgin index (and a policy that freezes) it instead sorts once and
-    builds the frozen segment directly, skipping the per-fact hashtable
-    and posting-cell allocation of the add loop entirely; this is the
-    fast path for cold closure base loads. *)
+    a virgin index (and a policy that freezes) it instead builds the
+    frozen segment directly, skipping the per-fact hashtable and
+    posting-cell allocation of the add loop entirely; this is the fast
+    path for cold closure base loads. Input that already ascends
+    strictly is not sorted: it is the spine and the fresh list. The
+    index may keep [triples] as its spine; the caller must not mutate it
+    afterwards. *)
 val bulk_add : t -> Triple.t array -> Triple.t list
+
+(** [load t triples] adds every triple and folds the whole index — old
+    segment, delta, tombstones and the input — into one fresh frozen
+    segment, whatever the {!policy}. Input that ascends strictly is used
+    as given (into an empty index it becomes the spine, so the caller
+    must not mutate it); anything else is sorted and deduplicated first.
+    Like {!freeze}, only at quiesce points. *)
+val load : t -> Triple.t array -> unit
+
+(** [occurrences t f] calls [f e n] for each coordinate position
+    (source, relationship, target) and each entity [e] that occurs
+    there in [n > 0] live triples: one call per distinct key and
+    position, none per triple. *)
+val occurrences : t -> (int -> int -> unit) -> unit
 
 type tier_stats = {
   frozen_live : int;

@@ -37,6 +37,19 @@ let m_phase_verify = compaction_phase "verify"
 let m_phase_rename = compaction_phase "rename"
 let m_phase_reset = compaction_phase "log_reset"
 
+(* read: the snapshot file; decode: its CRC, names and fact columns;
+   load: the facts' bulk load into the heap; replay: reading and
+   applying the log tail. *)
+let open_phase phase =
+  Metrics.histogram ~help:"Wall-clock seconds per phase of opening a store"
+    ~labels:[ ("phase", phase) ]
+    "lsdb_store_open_phase_seconds"
+
+let m_open_read = open_phase "read"
+let m_open_decode = open_phase "decode"
+let m_open_load = open_phase "load"
+let m_open_replay = open_phase "replay"
+
 type t = {
   dir : string;
   vfs : Vfs.t;
@@ -83,16 +96,19 @@ let open_dir ?(vfs = Vfs.real) ?(recovery = `Strict) ?(sync_mode = On_demand)
       end)
     [ snapshot_tmp dir; log_tmp dir ];
   let snapshot_epoch, db, snapshot_unreadable =
-    match Vfs.read_file vfs (snapshot_file dir) with
+    match Metrics.time m_open_read (fun () -> Vfs.read_file vfs (snapshot_file dir)) with
     | None -> (0, Lsdb.Database.create (), false)
     | Some data -> (
-        match Snapshot.decode_full data with
-        | epoch, db -> (epoch, db, false)
+        match Metrics.time m_open_decode (fun () -> Snapshot.parse data) with
+        | { Snapshot.epoch; db; facts } ->
+            Metrics.time m_open_load (fun () -> Lsdb.Database.load db facts);
+            (epoch, db, false)
         | exception Snapshot.Corrupt msg -> (
             match recovery with
             | `Strict -> fail_corrupt dir "snapshot" msg
             | `Salvage -> (0, Lsdb.Database.create (), true)))
   in
+  let t_replay = Metrics.now () in
   let read =
     match recovery with
     | `Salvage -> Log.read_log ~vfs ~mode:`Salvage (log_file dir)
@@ -126,6 +142,7 @@ let open_dir ?(vfs = Vfs.real) ?(recovery = `Strict) ?(sync_mode = On_demand)
   Metrics.add m_salvaged_frames read.Log.frames_skipped;
   Metrics.add m_truncated_bytes read.Log.bytes_truncated;
   List.iter (Log.apply db) ops;
+  if Metrics.enabled () then Metrics.observe m_open_replay (Metrics.now () -. t_replay);
   (* Physically repair the log when anything was dropped or the epoch is
      off: appending after a torn tail would otherwise turn the tear into
      mid-file corruption at the next open. *)

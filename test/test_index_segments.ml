@@ -240,4 +240,68 @@ let tests =
         Alcotest.(check bool) "same content" true (slow = fast);
         Alcotest.(check bool) "same fresh list, same order" true
           (slow_fresh = fast_fresh));
+    test "bulk_add: ascending, duplicated and unsorted input equal the add loop"
+      (fun () ->
+        let unsorted = Array.of_list (List.map t3 (random_triples ~entities:40 ~rels:4 900)) in
+        let ascending = Array.of_list (List.sort_uniq Triple.compare (Array.to_list unsorted)) in
+        let with_dups =
+          Array.of_list
+            (List.sort Triple.compare (Array.to_list unsorted @ Array.to_list ascending))
+        in
+        List.iter
+          (fun (what, input) ->
+            let loop = Index.create () in
+            let loop_fresh =
+              List.filter (fun x -> Index.add loop x) (Array.to_list input)
+            in
+            let bulk = Index.create () in
+            let bulk_fresh =
+              with_policy Index.Always @@ fun () -> Index.bulk_add bulk (Array.copy input)
+            in
+            Alcotest.(check bool) (what ^ ": same content") true
+              (contents loop = contents bulk);
+            Alcotest.(check bool) (what ^ ": same fresh list, same order") true
+              (loop_fresh = bulk_fresh);
+            Alcotest.(check int) (what ^ ": one frozen segment") (Index.cardinal loop)
+              (Index.tier_stats bulk).Index.frozen_live)
+          [ ("ascending", ascending); ("ascending with duplicates", with_dups);
+            ("unsorted", unsorted) ]);
+    test "load folds every tier and the input into one segment" (fun () ->
+        with_policy Index.Never @@ fun () ->
+        let base = random_triples ~entities:30 ~rels:3 400 in
+        let idx = index_of base in
+        Index.freeze idx;
+        let gone = List.filteri (fun i _ -> i mod 5 = 0) base in
+        List.iter (fun tr -> ignore (Index.remove idx (t3 tr))) gone;
+        let extra = random_triples ~entities:35 ~rels:3 200 in
+        List.iter (fun tr -> ignore (Index.add idx (t3 tr))) (List.filteri (fun i _ -> i mod 2 = 0) extra);
+        let input = Array.of_list (List.map t3 (extra @ gone)) in
+        let expected =
+          List.sort_uniq Triple.compare (contents idx @ Array.to_list input)
+        in
+        Index.load idx input;
+        Alcotest.(check bool) "union of the index and the input" true
+          (contents idx = expected);
+        let stats = Index.tier_stats idx in
+        Alcotest.(check int) "all live and frozen" (List.length expected) stats.Index.frozen_live;
+        Alcotest.(check int) "no tombstones, no delta" 0
+          (stats.Index.frozen_dead + stats.Index.delta_live + stats.Index.delta_dead);
+        (* Frozen enumeration ascends. *)
+        let listed = ref [] in
+        Index.iter (fun x -> listed := x :: !listed) idx;
+        Alcotest.(check bool) "ascending enumeration" true (List.rev !listed = expected));
+    test "occurrences count every live position once per key" (fun () ->
+        with_policy Index.Never @@ fun () ->
+        let idx = index_of (random_triples ~entities:20 ~rels:3 300) in
+        Index.freeze idx;
+        List.iter (fun tr -> ignore (Index.remove idx (t3 tr))) (random_triples ~entities:20 ~rels:3 60);
+        List.iter (fun tr -> ignore (Index.add idx (t3 tr))) (random_triples ~entities:25 ~rels:3 80);
+        let from_index = Hashtbl.create 64 and naive = Hashtbl.create 64 in
+        let bump tbl e n = Hashtbl.replace tbl e (n + Option.value ~default:0 (Hashtbl.find_opt tbl e)) in
+        Index.occurrences idx (fun e n ->
+            Alcotest.(check bool) "positive" true (n > 0);
+            bump from_index e n);
+        Index.iter (fun x -> bump naive x.Triple.s 1; bump naive x.Triple.r 1; bump naive x.Triple.t 1) idx;
+        let sorted tbl = List.sort compare (Hashtbl.fold (fun e n acc -> (e, n) :: acc) tbl []) in
+        Alcotest.(check (list (pair int int))) "per-entity totals" (sorted naive) (sorted from_index));
   ]

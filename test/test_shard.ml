@@ -105,9 +105,9 @@ let tests =
                   = List.sort Fact.compare (Store.match_list st pat));
                 Alcotest.(check int) "count_fast" (Store.count_fast oracle pat)
                   (Store.count_fast st pat);
-                Alcotest.(check int) "count_matches"
-                  (Store.count_matches oracle pat)
-                  (Store.count_matches st pat))
+                Alcotest.(check int) "count_fast counts the matches"
+                  (List.length (Store.match_list st pat))
+                  (Store.count_fast st pat))
               [
                 Store.pattern ();
                 Store.pattern ~s:3 ();
