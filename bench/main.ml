@@ -275,10 +275,10 @@ let b1 () =
     [ "employees"; "base facts"; "closure"; "derived"; "rounds"; "ms"; "µs/fact" ]
     rows
 
-(* B2 — indexed matching vs. linear scan vs. B+tree                      *)
+(* B2 — indexed matching vs. linear scan                                 *)
 
 let b2 () =
-  section "B2 — template matching: hash indexes vs. scan vs. B+tree";
+  section "B2 — template matching: indexes vs. scan";
   let sizes = if !quick then [ 1000; 8000 ] else [ 1000; 8000; 32000 ] in
   let rows =
     List.map
@@ -290,7 +290,6 @@ let b2 () =
         in
         let db = Lsdb_workload.Org_gen.to_database org in
         let store = Database.store db in
-        let bptree = Lsdb_storage.Triple_index.of_database db in
         let e = Database.entity db in
         let pat = Store.pattern ~s:(e "EMP-0000") () in
         let consume = ref 0 in
@@ -300,10 +299,6 @@ let b2 () =
               ( "hash-index",
                 fun () -> Store.match_pattern store pat (fun _ -> incr consume) );
               ("scan", fun () -> Store.match_scan store pat (fun _ -> incr consume));
-              ( "bptree",
-                fun () ->
-                  Lsdb_storage.Triple_index.match_pattern bptree pat (fun _ ->
-                      incr consume) );
             ]
         in
         let find name = List.assoc name results in
@@ -316,13 +311,12 @@ let b2 () =
         [
           string_of_int (Store.cardinal store);
           ns_pretty (find "hash-index");
-          ns_pretty (find "bptree");
           ns_pretty (find "scan");
           Printf.sprintf "%.0fx" (find "scan" /. find "hash-index");
         ])
       sizes
   in
-  table [ "facts"; "hash index"; "B+tree"; "scan"; "index speedup" ] rows
+  table [ "facts"; "index"; "scan"; "index speedup" ] rows
 
 (* B3 — composition blow-up vs. limit(n)                                 *)
 
@@ -1305,6 +1299,19 @@ let b15 () =
 let overhead_failures = ref 0
 let overhead_limit_pct = 5.0
 
+(* A --quick kernel lasts 2–9 ms, short enough that one scheduler or GC
+   hiccup moves a sample by more than the 5% budget. So each sample
+   repeats its kernel a fixed number of times, calibrated once from the
+   fastest of three warm runs so that a sample lasts at least
+   [min_sample_ms]. Returns the repeated kernel and the repetition
+   count. *)
+let min_sample_ms = 50.
+
+let calibrated kernel =
+  let fastest = List.fold_left Float.min infinity (List.init 3 (fun _ -> snd (time_ms kernel))) in
+  let reps = max 1 (int_of_float (Float.ceil (min_sample_ms /. Float.max fastest 0.01))) in
+  ((fun () -> for _ = 1 to reps do kernel () done), reps)
+
 let b16 () =
   section "B16 — observability overhead: metrics off vs. on (5% budget)";
   let module Metrics = Lsdb_obs.Metrics in
@@ -1380,6 +1387,8 @@ let b16 () =
     kernel ();
     Metrics.set_enabled true;
     kernel ();
+    Metrics.set_enabled false;
+    let kernel, reps = calibrated kernel in
     let samples =
       List.init runs (fun _ ->
           Metrics.set_enabled false;
@@ -1392,13 +1401,14 @@ let b16 () =
        minimum is the run least disturbed by GC and scheduling — exactly
        the floor where a real per-operation cost would still show up. *)
     let best xs = List.fold_left Float.min (List.hd xs) (List.tl xs) in
-    (best (List.map fst samples), best (List.map snd samples))
+    (best (List.map fst samples), best (List.map snd samples), reps)
   in
   let rows =
     List.map
       (fun (id, label, kernel) ->
-        let off_ms, on_ms = measure_pair kernel in
+        let off_ms, on_ms, reps = measure_pair kernel in
         let pct = 100. *. ((on_ms -. off_ms) /. off_ms) in
+        record (Printf.sprintf "b16/%s_reps" id) (float_of_int reps) "count";
         record (Printf.sprintf "b16/%s_ms_off" id) off_ms "ms";
         record (Printf.sprintf "b16/%s_ms_on" id) on_ms "ms";
         record (Printf.sprintf "b16/%s_overhead_pct" id) pct "%";
@@ -1410,6 +1420,7 @@ let b16 () =
         end;
         [
           label;
+          string_of_int reps;
           Printf.sprintf "%.2f" off_ms;
           Printf.sprintf "%.2f" on_ms;
           Printf.sprintf "%+.1f%%" pct;
@@ -1421,7 +1432,7 @@ let b16 () =
       ]
   in
   table
-    [ "kernel"; "metrics off ms"; "metrics on ms"; "overhead";
+    [ "kernel"; "reps"; "metrics off ms"; "metrics on ms"; "overhead";
       Printf.sprintf "budget %.0f%%" overhead_limit_pct ]
     rows
 
@@ -1837,6 +1848,7 @@ let b19 () =
     Database.set_governor db (Some (Governor.create ()));
     kernel ();
     Database.set_governor db None;
+    let kernel, reps = calibrated kernel in
     let samples =
       List.init runs (fun _ ->
           Database.set_governor db None;
@@ -1849,13 +1861,14 @@ let b19 () =
           (off, on))
     in
     let best xs = List.fold_left Float.min (List.hd xs) (List.tl xs) in
-    (best (List.map fst samples), best (List.map snd samples))
+    (best (List.map fst samples), best (List.map snd samples), reps)
   in
   let rows =
     List.map
       (fun (id, label, db, kernel) ->
-        let off_ms, on_ms = measure_pair db kernel in
+        let off_ms, on_ms, reps = measure_pair db kernel in
         let pct = 100. *. ((on_ms -. off_ms) /. off_ms) in
+        record (Printf.sprintf "b19/%s_reps" id) (float_of_int reps) "count";
         record (Printf.sprintf "b19/%s_ms_ungoverned" id) off_ms "ms";
         record (Printf.sprintf "b19/%s_ms_governed" id) on_ms "ms";
         record (Printf.sprintf "b19/%s_overhead_pct" id) pct "%";
@@ -1866,6 +1879,7 @@ let b19 () =
         end;
         [
           label;
+          string_of_int reps;
           Printf.sprintf "%.2f" off_ms;
           Printf.sprintf "%.2f" on_ms;
           Printf.sprintf "%+.1f%%" pct;
@@ -1878,7 +1892,7 @@ let b19 () =
       ]
   in
   table
-    [ "kernel"; "ungoverned ms"; "governed ms"; "overhead";
+    [ "kernel"; "reps"; "ungoverned ms"; "governed ms"; "overhead";
       Printf.sprintf "budget %.0f%%" overhead_limit_pct ]
     rows;
   (* --- part 2: deadline'd large closure ------------------------------ *)

@@ -1,7 +1,7 @@
 (* Storage strategies (§6.2, left open by the paper): a durable loosely
    structured database backed by a checksummed operation log and binary
-   snapshots, plus the ordered B+tree triple index as an alternative to
-   the in-memory hash store.
+   snapshots. Three sessions: log only, replay, then compaction into a
+   snapshot that the last session opens as one packed segment.
 
    Run with: dune exec examples/durable_heap.exe *)
 
@@ -53,36 +53,3 @@ let () =
     (Database.base_cardinal (Persistent.database session3))
     elapsed;
   Persistent.close session3;
-
-  (* The ordered storage strategy: three B+trees (SPO/POS/OSP). *)
-  print_endline "\n== B+tree triple index ==";
-  let db = Paper_examples.organization () in
-  let idx = Triple_index.of_database db in
-  Printf.printf "indexed %d facts, SPO tree height %d\n"
-    (Triple_index.cardinal idx)
-    (let t = Bptree.create () in
-     Triple_index.iter (fun (f : Fact.t) -> ignore (Bptree.insert t (f.s, f.r, f.t))) idx;
-     Bptree.height t);
-  let john = Database.entity db "JOHN" in
-  print_endline "prefix scan (JOHN, *, *):";
-  Triple_index.match_pattern idx (Store.pattern ~s:john ()) (fun fact ->
-      print_endline ("  " ^ Fact.to_string (Database.symtab db) fact));
-
-  (* Raw substrate: slotted pages in a paged file. *)
-  print_endline "\n== slotted-page heap file ==";
-  let path = Filename.temp_file "lsdb-heap" ".pages" in
-  let pager = Pager.open_ path in
-  let heap = Heap_file.create pager in
-  let rids =
-    List.map (fun i -> Heap_file.insert heap (Printf.sprintf "record %d" i)) [ 1; 2; 3 ]
-  in
-  List.iter
-    (fun rid ->
-      Printf.printf "  %s -> %s\n"
-        (Format.asprintf "%a" Heap_file.pp_rid rid)
-        (Option.value ~default:"?" (Heap_file.get heap rid)))
-    rids;
-  let (`Records records), (`Pages pages) = Heap_file.stats heap in
-  Printf.printf "  %d records on %d page(s)\n" records pages;
-  Pager.close pager;
-  Sys.remove path

@@ -26,26 +26,6 @@ type t = {
   mutable derived_listed : int;
 }
 
-let base_of_store store : D.Sharded.base =
-  {
-    b_seq = (fun () -> Store.to_seq store);
-    b_iter =
-      (fun ~s ~r ~tgt f -> Store.match_pattern store { Store.s; r; t = tgt } f);
-    b_mem = (fun fact -> Store.mem store fact);
-    b_count = (fun ~s ~r ~tgt -> Store.count_fast store { Store.s; r; t = tgt });
-    b_cardinal = (fun () -> Store.cardinal store);
-  }
-
-let base_of_stage stage : D.Sharded.base =
-  let v = D.Sharded.view stage in
-  {
-    b_seq = (fun () -> D.Sharded.to_seq stage);
-    b_iter = v.v_iter;
-    b_mem = v.v_mem;
-    b_count = v.v_count;
-    b_cardinal = (fun () -> D.Sharded.cardinal stage);
-  }
-
 let strata t = match t.stage with Some stage -> [ stage; t.main ] | None -> [ t.main ]
 let sum f t = List.fold_left (fun n s -> n + f s) 0 (strata t)
 let is_derived t fact =
@@ -62,10 +42,10 @@ let compute ?(max_facts = 2_000_000) ?pool ?gov ?(staged_rules = []) ~rules
   let stage, main, derived =
     match staged_rules with
     | [] ->
-        let main, derived = stratum rules (base_of_store store) in
+        let main, derived = stratum rules (Store.view store) in
         (None, main, derived)
     | _ ->
-        let stage, stage_derived = stratum staged_rules (base_of_store store) in
+        let stage, stage_derived = stratum staged_rules (Store.view store) in
         if Lsdb_exec.Governor.is_tripped gov then
           (* The budget tripped inside the inversion stratum. Running the
              main stratum now would only trip at its first checkpoint —
@@ -78,7 +58,7 @@ let compute ?(max_facts = 2_000_000) ?pool ?gov ?(staged_rules = []) ~rules
              recorded provenance, not the rule list. *)
           (None, stage, stage_derived)
         else
-          let main, main_derived = stratum rules (base_of_stage stage) in
+          let main, main_derived = stratum rules (D.Sharded.view stage) in
           (Some stage, main, stage_derived @ main_derived)
   in
   {
@@ -204,7 +184,7 @@ let rule_counts t =
   |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
 
 let iter f t = t.view.v_iter ~s:None ~r:None ~tgt:None f
-let to_seq t = D.Sharded.to_seq t.main
+let to_seq t = t.view.v_seq ()
 
 let match_pattern t (pat : Store.pattern) f =
   t.view.v_iter ~s:pat.s ~r:pat.r ~tgt:pat.t f
@@ -229,18 +209,10 @@ let count_pattern t (pat : Store.pattern) =
 let out_degree t e = t.view.v_count ~s:(Some e) ~r:None ~tgt:None
 let in_degree t e = t.view.v_count ~s:None ~r:None ~tgt:(Some e)
 
-exception Found
-
-let exists_match t pat =
-  try
-    match_pattern t pat (fun _ -> raise Found);
-    false
-  with Found -> true
-
 (* Entities of the facts the strata hold in their own indexes. At one
    shard the main index holds the whole closure, so the table alone
    answers (and enumerates in index order); above one shard it covers the
-   derived overlays and the store's refcount table answers for the base.
+   derived overlays and the store's own counts answer for the base.
    The cache mutates under read; concurrent readers (parallel retraction
    waves) must force it from a single domain first — see
    [prepare_readers]. *)

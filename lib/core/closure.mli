@@ -148,7 +148,6 @@ val count_pattern : t -> Store.pattern -> int
 val out_degree : t -> Entity.t -> int
 
 val in_degree : t -> Entity.t -> int
-val exists_match : t -> Store.pattern -> bool
 
 (** Entities appearing in some closure fact. *)
 val active_entities : t -> Entity.t Seq.t

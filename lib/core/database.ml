@@ -311,17 +311,7 @@ let demand_state t =
              evaluate demand over it directly rather than copying the
              base — cold opens then cost only the demanded cone. *)
           Magic.create_shared ~max_facts:t.max_facts ~staged_rules ~rules
-            {
-              Magic.bv_iter =
-                (fun ~s ~r ~tgt f ->
-                  Store.match_pattern t.store (Store.pattern ?s ?r ?t:tgt ()) f);
-              bv_mem = (fun fact -> Store.mem t.store fact);
-              bv_count =
-                (fun ~s ~r ~tgt -> Store.count_fast t.store { Store.s; r; t = tgt });
-              bv_count_s = (fun e -> Store.count_fast t.store (Store.pattern ~s:e ()));
-              bv_count_t = (fun e -> Store.count_fast t.store (Store.pattern ~t:e ()));
-              bv_cardinal = (fun () -> Store.cardinal t.store);
-            }
+            (Store.view t.store)
         in
         t.demand_cache <- Some m;
         m

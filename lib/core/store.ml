@@ -8,7 +8,6 @@ module Int_tbl = Index.Int_tbl
 type t = {
   mutable plan : Shard.plan;
   mutable subs : Index.t array;  (* length = Shard.shards plan *)
-  mutable refcount : int Int_tbl.t;  (* entity -> occurrences, across all shards *)
 }
 
 type pattern = { s : Entity.t option; r : Entity.t option; t : Entity.t option }
@@ -20,48 +19,16 @@ let make_subs plan size_hint =
 
 let create ?(size_hint = 256) ?(shards = 1) () =
   let plan = Shard.plan shards in
-  { plan; subs = make_subs plan size_hint; refcount = Int_tbl.create size_hint }
+  { plan; subs = make_subs plan size_hint }
 
 let shards t = Shard.shards t.plan
-let shard_plan t = t.plan
 let sub_of t s = t.subs.(Shard.of_entity t.plan s)
-
-let ref_add t e n =
-  Int_tbl.replace t.refcount e
-    (n + match Int_tbl.find t.refcount e with m -> m | exception Not_found -> 0)
-
-let ref_decr t e =
-  match Int_tbl.find_opt t.refcount e with
-  | None -> ()
-  | Some 1 -> Int_tbl.remove t.refcount e
-  | Some n -> Int_tbl.replace t.refcount e (n - 1)
-
-let add t (fact : Fact.t) =
-  Index.add (sub_of t fact.s) fact
-  && begin
-       ref_add t fact.s 1;
-       ref_add t fact.r 1;
-       ref_add t fact.t 1;
-       true
-     end
-
-let remove t (fact : Fact.t) =
-  Index.remove (sub_of t fact.s) fact
-  && begin
-       ref_decr t fact.s;
-       ref_decr t fact.r;
-       ref_decr t fact.t;
-       true
-     end
-
+let add t (fact : Fact.t) = Index.add (sub_of t fact.s) fact
+let remove t (fact : Fact.t) = Index.remove (sub_of t fact.s) fact
 let mem t (fact : Fact.t) = Index.mem (sub_of t fact.s) fact
 let cardinal t = Array.fold_left (fun n sub -> n + Index.cardinal sub) 0 t.subs
 let shard_cardinals t = Array.map Index.cardinal t.subs
-let is_empty t = cardinal t = 0
-
-let clear t =
-  t.subs <- make_subs t.plan 256;
-  Int_tbl.reset t.refcount
+let clear t = t.subs <- make_subs t.plan 256
 
 let iter f t = Array.iter (Index.iter f) t.subs
 
@@ -73,8 +40,7 @@ let fold f t init =
 let to_seq t = Seq.concat_map Index.to_seq (Array.to_seq t.subs)
 let to_list t = List.of_seq (to_seq t)
 
-(* Fold [facts] into every shard's frozen segment, then recount the
-   entities once per distinct key. *)
+(* Fold [facts] into every shard's frozen segment. *)
 let load t (facts : Fact.t array) =
   let n = Array.length t.subs in
   if n = 1 then Index.load t.subs.(0) facts
@@ -90,9 +56,7 @@ let load t (facts : Fact.t array) =
         sizes.(i) <- sizes.(i) + 1)
       owner;
     Array.iteri (fun i part -> Index.load t.subs.(i) part) parts
-  end;
-  t.refcount <- Int_tbl.create (max 256 (Array.length facts / 2));
-  Array.iter (fun sub -> Index.occurrences sub (ref_add t)) t.subs
+  end
 
 (* Source-bound patterns touch exactly one shard; the rest fan out. *)
 let match_pattern t { s; r; t = tgt } f =
@@ -113,14 +77,6 @@ let count_fast t { s; r; t = tgt } =
   | Some e -> Index.count (sub_of t e) ~s ~r ~tgt
   | None -> Array.fold_left (fun n sub -> n + Index.count sub ~s ~r ~tgt) 0 t.subs
 
-exception Found
-
-let exists_match t pat =
-  try
-    match_pattern t pat (fun _ -> raise Found);
-    false
-  with Found -> true
-
 let matches_pattern { s; r; t = tgt } (fact : Fact.t) =
   (match s with Some s -> s = fact.s | None -> true)
   && (match r with Some r -> r = fact.r | None -> true)
@@ -128,8 +84,31 @@ let matches_pattern { s; r; t = tgt } (fact : Fact.t) =
 
 let match_scan t pat f = iter (fun fact -> if matches_pattern pat fact then f fact) t
 
-let active_entities t = Int_tbl.to_seq_keys t.refcount
-let entity_active t e = Int_tbl.mem t.refcount e
+(* The store read as an engine view: what the closure's first stratum
+   and the demand evaluator take as their input. It reads [t.subs] on
+   every call, so it survives {!reshard} and {!clear}. *)
+let view t : Lsdb_datalog.Engine.view =
+  {
+    v_iter = (fun ~s ~r ~tgt f -> match_pattern t { s; r; t = tgt } f);
+    v_mem = mem t;
+    v_count = (fun ~s ~r ~tgt -> count_fast t { s; r; t = tgt });
+    v_cardinal = (fun () -> cardinal t);
+    v_seq = (fun () -> to_seq t);
+  }
+
+(* The shard indexes count every position exactly, so activity needs no
+   table of its own: a source is counted in its owner shard, a
+   relationship or target in any shard. *)
+let entity_active t e =
+  Index.count_s (sub_of t e) e > 0
+  || Array.exists
+       (fun sub -> Index.count_t sub e > 0 || Index.count sub ~s:None ~r:(Some e) ~tgt:None > 0)
+       t.subs
+
+let active_entities t =
+  let seen = Int_tbl.create 256 in
+  Array.iter (fun sub -> Index.occurrences sub (fun e _ -> Int_tbl.replace seen e ())) t.subs;
+  Int_tbl.to_seq_keys seen
 
 (* Re-partition in place: the handle every reader captured stays valid,
    only the internal routing changes. O(heap); callers invalidate any

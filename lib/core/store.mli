@@ -26,10 +26,6 @@ val create : ?size_hint:int -> ?shards:int -> unit -> t
 (** Number of internal shards ([>= 1]). *)
 val shards : t -> int
 
-(** The routing plan, for layers that co-partition with the heap (the
-    sharded closure's overlays). *)
-val shard_plan : t -> Lsdb_datalog.Shard.plan
-
 (** Facts per shard — the partition balance (B20's imbalance gauge). *)
 val shard_cardinals : t -> int array
 
@@ -55,7 +51,6 @@ val load : t -> Fact.t array -> unit
 
 val mem : t -> Fact.t -> bool
 val cardinal : t -> int
-val is_empty : t -> bool
 val clear : t -> unit
 
 val iter : (Fact.t -> unit) -> t -> unit
@@ -74,16 +69,23 @@ val match_list : t -> pattern -> Fact.t list
     join ordering and the demand-mode degree hints. *)
 val count_fast : t -> pattern -> int
 
-val exists_match : t -> pattern -> bool
-
 (** Unindexed full-scan matching (baseline for B2). Same results as
     [match_pattern], radically different cost profile. *)
 val match_scan : t -> pattern -> (Fact.t -> unit) -> unit
 
-(** Distinct entities appearing in some fact, with multiplicity ignored. *)
+(** The store as an {!Lsdb_datalog.Engine.view}: the input of the
+    closure's first stratum and of the demand evaluator. Counts are
+    {!count_fast}; the view stays valid across {!reshard} and {!clear}. *)
+val view : t -> Lsdb_datalog.Engine.view
+
+(** Distinct entities appearing in some fact, each once: the shard
+    indexes' {!Lsdb_datalog.Index.occurrences}, deduplicated. O(distinct
+    keys); nothing is kept between calls. *)
 val active_entities : t -> Entity.t Seq.t
 
-(** Does the entity appear in some stored fact? O(1). *)
+(** Does the entity appear in some stored fact? O(shards), from the
+    shard indexes' exact counts: its out-degree in the owner shard, its
+    in-degree and relationship count in each shard. *)
 val entity_active : t -> Entity.t -> bool
 
 val copy : t -> t

@@ -2,15 +2,17 @@ module Governor = Lsdb_exec.Governor
 
 type provenance = { rule : string; premises : Triple.t list }
 
-(* A read-only window onto "all facts so far": one {!Index.t} for a
-   stratum that owns its input, a base heap plus per-shard derived
-   overlays for one that reads through it ({!Sharded}). The join loops
-   below only ever need these three probes, so evaluating over a view
-   costs one closure indirection per probe. *)
+(* A read-only set of triples: one {!Index.t} for a stratum that owns
+   its input, a base heap plus per-shard derived overlays for one that
+   reads through it ({!Sharded}), the caller's store for the demand
+   evaluator. The join loops below only ever need the three probes, so
+   evaluating over a view costs one closure indirection per probe. *)
 type view = {
   v_iter : s:int option -> r:int option -> tgt:int option -> (Triple.t -> unit) -> unit;
   v_mem : Triple.t -> bool;
   v_count : s:int option -> r:int option -> tgt:int option -> int;
+  v_cardinal : unit -> int;
+  v_seq : unit -> Triple.t Seq.t;
 }
 
 let view_of_index idx =
@@ -18,6 +20,8 @@ let view_of_index idx =
     v_iter = (fun ~s ~r ~tgt f -> Index.candidates idx ~s ~r ~tgt f);
     v_mem = (fun triple -> Index.mem idx triple);
     v_count = (fun ~s ~r ~tgt -> Index.count idx ~s ~r ~tgt);
+    v_cardinal = (fun () -> Index.cardinal idx);
+    v_seq = (fun () -> Index.to_seq idx);
   }
 
 (* Check every guard that is fully bound; fail fast on the first violated

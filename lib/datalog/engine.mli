@@ -4,23 +4,31 @@
     "all facts so far", {!round_view} evaluates one semi-naive round and
     {!find_derivation_view} checks a single fact for a one-step
     derivation. Neither mutates anything, so both can run on several pool
-    domains at once. The fixpoint that drives rounds to closure, its
-    delete/rederive maintenance and the support index live in
-    {!Sharded}, the one stratum driver. *)
+    domains at once. The fixpoint that drives rounds to closure and its
+    delete/rederive maintenance live in {!Sharded}, the one stratum
+    driver; the recorded derivations and their support index live in
+    {!Derivations}. *)
 
 type provenance = { rule : string; premises : Triple.t list }
 (** One recorded derivation: rule name and premises in body order. *)
 
-(** The join loops read "all facts so far" through three probes only, so
-    a stratum can evaluate over its own {!Index.t} ({!view_of_index}) or
-    over a base heap plus per-shard derived overlays without copying the
-    base. *)
+(** A read-only set of triples, and the only record for one: the join
+    loops, the strata ({!Sharded}) and the demand evaluator ({!Magic})
+    all read facts through it. It is built over one {!Index.t}
+    ({!view_of_index}), over a stratum's base plus its derived overlays
+    ({!Sharded.view}), or over the caller's store. Each probe is one
+    closure call; nothing is copied. *)
 type view = {
   v_iter : s:int option -> r:int option -> tgt:int option -> (Triple.t -> unit) -> unit;
       (** [candidates]: every triple compatible with the pattern. *)
   v_mem : Triple.t -> bool;
   v_count : s:int option -> r:int option -> tgt:int option -> int;
-      (** O(1)-ish upper bound on [v_iter]'s yield, for join ordering. *)
+      (** How many triples [v_iter] yields for the pattern, in O(1) per
+          index read: exact for every view built here. Used for join
+          ordering and degree hints. *)
+  v_cardinal : unit -> int;
+  v_seq : unit -> Triple.t Seq.t;
+      (** Every triple, in the order a stratum loads or seeds them. *)
 }
 
 val view_of_index : Index.t -> view

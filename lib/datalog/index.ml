@@ -700,18 +700,19 @@ let load idx arr = rebuild idx (sorted_distinct arr)
 
 type policy = Always | Never | Watermark
 
+(* The smallest delta [Watermark] folds: below it, list cells are cheap
+   enough that a rebuild would not pay for itself. *)
+let min_delta = 8192
+
 let freeze_policy = ref Watermark
-let freeze_min_delta = ref 8192
 let set_policy p = freeze_policy := p
 let policy () = !freeze_policy
-let set_min_delta n = freeze_min_delta := max 1 n
-let min_delta () = !freeze_min_delta
 
 let wants_freeze idx =
   let fz = idx.fz in
   let dn = Triple.Tbl.length idx.dmem + Triple.Tbl.length idx.ddead in
   let fn = seg_len fz in
-  (dn >= !freeze_min_delta && dn * 4 >= fn)
+  (dn >= min_delta && dn * 4 >= fn)
   || (fz.ndead > 64 && fz.ndead * 8 > fn)
 
 let quiesce idx =
@@ -735,7 +736,7 @@ let bulk_add idx (arr : Triple.t array) =
     match !freeze_policy with
     | Never -> false
     | Always -> true
-    | Watermark -> n >= !freeze_min_delta
+    | Watermark -> n >= min_delta
   in
   if not fast then begin
     let fresh = ref [] in

@@ -74,7 +74,7 @@ val count_t : t -> int -> int
 val freeze : t -> unit
 
 (** How {!quiesce} decides. [Watermark] (the default) freezes when the
-    delta reaches both {!min_delta} and a quarter of the frozen spine,
+    delta reaches both 8,192 triples and a quarter of the frozen spine,
     or when frozen tombstones pass 1/8 of the spine. [Always]/[Never]
     exist for the identity gates and the list-cell baseline: a process
     global, deliberately — benches and torture drivers flip whole runs
@@ -83,9 +83,6 @@ type policy = Always | Never | Watermark
 
 val set_policy : policy -> unit
 val policy : unit -> policy
-
-val set_min_delta : int -> unit
-val min_delta : unit -> int
 
 (** [quiesce t] applies the freeze policy; called by the engines at
     round barriers and after retractions. *)

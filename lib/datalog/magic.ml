@@ -83,22 +83,6 @@ type activation = {
   magic_idx : (int * int, int array list ref) Hashtbl.t;
 }
 
-type support = { deps : unit Triple.Tbl.t Triple.Tbl.t; mutable edges : int }
-
-(* The base facts as a read-only view. The owner of the facts (the
-   store) already indexes them by every bound-position combination;
-   sharing that index makes creating a demand state O(1) instead of
-   O(base) — cold starts pay only for the cone they derive, not for
-   re-indexing facts the query never touches. *)
-type base_view = {
-  bv_iter : s:int option -> r:int option -> tgt:int option -> (Triple.t -> unit) -> unit;
-  bv_mem : Triple.t -> bool;
-  bv_count : s:int option -> r:int option -> tgt:int option -> int;
-  bv_count_s : int -> int;
-  bv_count_t : int -> int;
-  bv_cardinal : unit -> int;
-}
-
 type stats = {
   goals : int;
   memo_hits : int;
@@ -115,7 +99,11 @@ type t = {
   staged_rules : Rule.t array;
   rules : Rule.t array;
   max_facts : int;
-  base : base_view;
+  (* The base facts, read through the owner's own index (the store
+     already indexes every bound-position combination): creating a
+     demand state is O(1), and a cold start pays only for the cone it
+     derives. *)
+  base : Engine.view;
   stage_cone : Index.t;  (* derived by staged rules; disjoint from base *)
   full_cone : Index.t;  (* derived by main rules; disjoint from the others *)
   stage_demanded : unit Triple.Tbl.t;
@@ -136,9 +124,8 @@ type t = {
   pending_deltas : (level * Triple.t) Queue.t;
   (* Emissions buffered during a join and merged afterwards, so no index
      is ever mutated while one of its postings is being iterated. *)
-  mutable out : (level * Triple.t * string * Triple.t list) list;
-  prov : (string * Triple.t list) Triple.Tbl.t;
-  mutable support : support option;
+  mutable out : (level * Triple.t * Engine.provenance) list;
+  derivations : Derivations.t;  (* of every cone fact, for delete/rederive *)
   mutable goals : int;
   mutable memo_hits : int;
   mutable memo_misses : int;
@@ -176,8 +163,7 @@ let create_shared ?(max_facts = 10_000_000) ~staged_rules ~rules base =
       pending_acts = Queue.create ();
       pending_deltas = Queue.create ();
       out = [];
-      prov = Triple.Tbl.create 256;
-      support = None;
+      derivations = Derivations.create ();
       goals = 0;
       memo_hits = 0;
       memo_misses = 0;
@@ -196,17 +182,17 @@ let set_governor st gov = st.gov <- gov
 let poisoned st = st.poisoned
 
 let cone_cardinal st = Index.cardinal st.stage_cone + Index.cardinal st.full_cone
-let total st = st.base.bv_cardinal () + cone_cardinal st
+let total st = st.base.v_cardinal () + cone_cardinal st
 
 (* --- views ----------------------------------------------------------- *)
 
 let view_iter st level ~s ~r ~tgt f =
-  st.base.bv_iter ~s ~r ~tgt f;
+  st.base.v_iter ~s ~r ~tgt f;
   Index.candidates st.stage_cone ~s ~r ~tgt f;
   if level = Full then Index.candidates st.full_cone ~s ~r ~tgt f
 
 let view_mem st level triple =
-  st.base.bv_mem triple || Index.mem st.stage_cone triple
+  st.base.v_mem triple || Index.mem st.stage_cone triple
   || (level = Full && Index.mem st.full_cone triple)
 
 exception Found
@@ -216,66 +202,6 @@ let view_exists st ~s ~r ~tgt =
     view_iter st Full ~s ~r ~tgt (fun _ -> raise Found);
     false
   with Found -> true
-
-(* --- provenance / support (for DRed retraction) ---------------------- *)
-
-let support_add support fact premises =
-  List.iter
-    (fun premise ->
-      let cell =
-        match Triple.Tbl.find_opt support.deps premise with
-        | Some cell -> cell
-        | None ->
-            let cell = Triple.Tbl.create 4 in
-            Triple.Tbl.add support.deps premise cell;
-            cell
-      in
-      if not (Triple.Tbl.mem cell fact) then begin
-        Triple.Tbl.add cell fact ();
-        support.edges <- support.edges + 1
-      end)
-    premises
-
-let support_drop support fact premises =
-  List.iter
-    (fun premise ->
-      match Triple.Tbl.find_opt support.deps premise with
-      | None -> ()
-      | Some cell ->
-          if Triple.Tbl.mem cell fact then begin
-            Triple.Tbl.remove cell fact;
-            support.edges <- support.edges - 1;
-            if Triple.Tbl.length cell = 0 then Triple.Tbl.remove support.deps premise
-          end)
-    premises
-
-let set_prov st fact rule premises =
-  (match st.support with
-  | Some support ->
-      (match Triple.Tbl.find_opt st.prov fact with
-      | Some (_, old) -> support_drop support fact old
-      | None -> ());
-      support_add support fact premises
-  | None -> ());
-  Triple.Tbl.replace st.prov fact (rule, premises)
-
-let forget_prov st fact =
-  match Triple.Tbl.find_opt st.prov fact with
-  | None -> ()
-  | Some (_, premises) ->
-      (match st.support with
-      | Some support -> support_drop support fact premises
-      | None -> ());
-      Triple.Tbl.remove st.prov fact
-
-let force_support st =
-  match st.support with
-  | Some support -> support
-  | None ->
-      let support = { deps = Triple.Tbl.create 256; edges = 0 } in
-      Triple.Tbl.iter (fun fact (_, premises) -> support_add support fact premises) st.prov;
-      st.support <- Some support;
-      support
 
 (* --- activation creation --------------------------------------------- *)
 
@@ -449,7 +375,9 @@ let emit st act binding premises =
       match Atom.instantiate binding head with
       | None -> ()
       | Some triple ->
-          st.out <- (act.level, triple, act.rule.name, Array.to_list premises) :: st.out)
+          st.out <-
+            (act.level, triple, { Engine.rule = act.rule.name; premises = Array.to_list premises })
+            :: st.out)
     act.rule.heads
 
 (* Join the body atoms in [todo] over the level's current views. Each
@@ -608,11 +536,11 @@ let check_diverged st = if total st > st.max_facts then raise (Diverged (total s
    demanded pattern is dropped — if a later demand covers it, that
    demand's own activations re-derive it from premises still in the
    views. *)
-let merge_one st (level, triple, rule_name, premises) =
+let merge_one st (level, triple, prov) =
   match level with
   | Stage ->
       if
-        (not (st.base.bv_mem triple))
+        (not (st.base.v_mem triple))
         && (not (Index.mem st.stage_cone triple))
         && matches_demanded st.stage_demanded triple
       then
@@ -622,12 +550,12 @@ let merge_one st (level, triple, rule_name, premises) =
              only) — move it, making it visible to stage joins. *)
           ignore (Index.remove st.full_cone triple);
           ignore (Index.add st.stage_cone triple);
-          set_prov st triple rule_name premises;
+          Derivations.record st.derivations triple prov;
           push_delta st Stage triple
         end
         else begin
           ignore (Index.add st.stage_cone triple);
-          set_prov st triple rule_name premises;
+          Derivations.record st.derivations triple prov;
           Metrics.incr m_cone;
           check_diverged st;
           Governor.count_facts st.gov 1;
@@ -636,13 +564,13 @@ let merge_one st (level, triple, rule_name, premises) =
         end
   | Full ->
       if
-        (not (st.base.bv_mem triple))
+        (not (st.base.v_mem triple))
         && (not (Index.mem st.stage_cone triple))
         && (not (Index.mem st.full_cone triple))
         && matches_demanded st.full_demanded triple
       then begin
         ignore (Index.add st.full_cone triple);
-        set_prov st triple rule_name premises;
+        Derivations.record st.derivations triple prov;
         Metrics.incr m_cone;
         check_diverged st;
         Governor.count_facts st.gov 1;
@@ -730,15 +658,17 @@ let mem st triple =
   view_mem st Full triple
 
 let count_hint st ~s ~r ~tgt =
-  st.base.bv_count ~s ~r ~tgt
+  st.base.v_count ~s ~r ~tgt
   + Index.count st.stage_cone ~s ~r ~tgt
   + Index.count st.full_cone ~s ~r ~tgt
 
 let degree_out st e =
-  st.base.bv_count_s e + Index.count_s st.stage_cone e + Index.count_s st.full_cone e
+  st.base.v_count ~s:(Some e) ~r:None ~tgt:None
+  + Index.count_s st.stage_cone e + Index.count_s st.full_cone e
 
 let degree_in st e =
-  st.base.bv_count_t e + Index.count_t st.stage_cone e + Index.count_t st.full_cone e
+  st.base.v_count ~s:None ~r:None ~tgt:(Some e)
+  + Index.count_t st.stage_cone e + Index.count_t st.full_cone e
 
 let entity_occurs st e =
   ensure st { ps = Some e; pr = None; pt = None };
@@ -758,8 +688,8 @@ let insert st triple =
   let in_full_view = in_stage_view || Index.mem st.full_cone triple in
   (* A cone fact asserted as base is demoted: same fact set, but it no
      longer depends on its premises. *)
-  if Index.remove st.stage_cone triple then forget_prov st triple;
-  if Index.remove st.full_cone triple then forget_prov st triple;
+  if Index.remove st.stage_cone triple then Derivations.forget st.derivations triple;
+  if Index.remove st.full_cone triple then Derivations.forget st.derivations triple;
   check_diverged st;
   if not in_stage_view then push_delta st Stage triple;
   if not in_full_view then push_delta st Full triple;
@@ -768,33 +698,17 @@ let insert st triple =
 let retract st triple =
   (* The caller has already removed the fact from the base (and only
      calls when the removal really happened). *)
-  let support = force_support st in
   (* Over-delete the cone: every fact whose recorded derivation
      transitively rests on [triple]. Recorded derivations are
-     well-founded, so everything outside the cone stays derivable. *)
-  let doomed = ref [] in
-  let seen = Triple.Tbl.create 16 in
-  let rec visit fact =
-    match Triple.Tbl.find_opt support.deps fact with
-    | None -> ()
-    | Some cell ->
-        let dependents = Triple.Tbl.fold (fun d () acc -> d :: acc) cell [] in
-        List.iter
-          (fun d ->
-            if not (Triple.Tbl.mem seen d) then begin
-              Triple.Tbl.add seen d ();
-              doomed := d :: !doomed;
-              visit d
-            end)
-          dependents
-  in
-  visit triple;
+     well-founded, so everything outside the cone stays derivable. The
+     cone includes [triple] itself, which is in neither cone index and
+     has no recorded derivation (base facts never do). *)
   List.iter
     (fun d ->
       ignore (Index.remove st.stage_cone d);
       ignore (Index.remove st.full_cone d);
-      forget_prov st d)
-    !doomed;
+      Derivations.forget st.derivations d)
+    (Derivations.cone st.derivations [ triple ]);
   (* Rederive: re-run every seeded activation so over-deleted survivors
      — and the retracted fact itself, when still derivable — are
      restored. *)
@@ -812,7 +726,7 @@ let stats st =
     memo_misses = st.memo_misses;
     magic_patterns = st.magic_patterns;
     activations = st.activations;
-    base_facts = st.base.bv_cardinal ();
+    base_facts = st.base.v_cardinal ();
     stage_cone_facts = Index.cardinal st.stage_cone;
     full_cone_facts = Index.cardinal st.full_cone;
     deltas = st.deltas;

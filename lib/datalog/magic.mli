@@ -21,7 +21,7 @@
     a pattern already covered by an earlier (possibly more general)
     demand answers straight from the cone indexes. {!insert} maintains
     the cones semi-naively; {!retract} is DRed-style delete/rederive
-    over a provenance/support index scoped to the cones.
+    over the cones' recorded derivations ({!Derivations}).
 
     Evaluation is deliberately single-threaded: cones are small (that is
     the point of demand), and answer sets are therefore identical for
@@ -29,23 +29,6 @@
     {!Triple.compare} order. *)
 
 type t
-
-(** The base facts as a read-only view. {!create_shared} evaluates over
-    the caller's own fact index instead of copying it, so building a
-    demand state is O(1) in the base — a cold start pays only for the
-    cone it derives. The view must reflect every base fact at all times;
-    the caller keeps it current and reports mutations via {!insert} and
-    {!retract}. *)
-type base_view = {
-  bv_iter : s:int option -> r:int option -> tgt:int option -> (Triple.t -> unit) -> unit;
-      (** iterate base facts matching the pattern ([None] = wildcard) *)
-  bv_mem : Triple.t -> bool;
-  bv_count : s:int option -> r:int option -> tgt:int option -> int;
-      (** upper bound on what [bv_iter] enumerates (selectivity hint) *)
-  bv_count_s : int -> int;  (** out-degree hint *)
-  bv_count_t : int -> int;  (** in-degree hint *)
-  bv_cardinal : unit -> int;
-}
 
 exception Diverged of int
 (** Total fact count (base + cones) exceeded [max_facts]. *)
@@ -62,16 +45,18 @@ type stats = {
   deltas : int;  (** delta triples fed through activation joins *)
 }
 
-(** [create_shared ~staged_rules ~rules view] evaluates directly over
-    [view] — no copy, O(1) setup; nothing is derived until the first
-    {!demand}. The caller owns the base: {!insert} must be called after
-    (and only after) a new fact entered the view, {!retract} after (and
-    only after) one left it. *)
+(** [create_shared ~staged_rules ~rules base] evaluates directly over
+    the base facts' view — the caller's own index, not a copy, so setup
+    is O(1) and a cold start pays only for the cone it derives; nothing
+    is derived until the first {!demand}. The caller owns the base and
+    keeps the view current: {!insert} must be called after (and only
+    after) a new fact entered it, {!retract} after (and only after) one
+    left it. *)
 val create_shared :
   ?max_facts:int ->
   staged_rules:Rule.t list ->
   rules:Rule.t list ->
-  base_view ->
+  Engine.view ->
   t
 
 (** [demand t ~s ~r ~tgt f] derives (or re-uses) the cone of the pattern
@@ -84,13 +69,14 @@ val demand :
     pattern. *)
 val mem : t -> Triple.t -> bool
 
-(** [count_hint t ~s ~r ~tgt] — upper bound on base + already-derived
-    cone facts matching the pattern. Never derives; selectivity heuristic
-    only (posting lengths include tombstones). *)
+(** [count_hint t ~s ~r ~tgt] — the exact number of base and
+    already-derived cone facts matching the pattern, in O(1) per index.
+    Never derives, so it is a lower bound on the closure's count until
+    the pattern's cone is demanded: a selectivity hint. *)
 val count_hint : t -> s:int option -> r:int option -> tgt:int option -> int
 
 val degree_out : t -> int -> int
-(** Out-degree over base + cones; heuristic, like {!count_hint}. *)
+(** Out-degree over base + cones; a hint, like {!count_hint}. *)
 
 val degree_in : t -> int -> int
 
@@ -112,9 +98,6 @@ val insert : t -> Triple.t -> unit
     from the view. *)
 val retract : t -> Triple.t -> unit
 
-val cone_cardinal : t -> int
-(** Derived facts across both cones. *)
-
 (** {1 Governed evaluation}
 
     [set_governor t gov] attaches (or clears) a cooperative governor:
@@ -134,5 +117,5 @@ val poisoned : t -> bool
 val stats : t -> stats
 
 val tier_stats : t -> Index.tier_stats
-(** Frozen/delta tier sizes summed over the cones (and the owned base
-    index, when this state built its own). *)
+(** Frozen/delta tier sizes summed over the two cone indexes; the base
+    is the caller's and is not counted. *)

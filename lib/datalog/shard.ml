@@ -17,18 +17,3 @@ let mix e =
 
 let of_entity plan e = if plan = 1 then 0 else mix e mod plan
 let of_triple plan (triple : Triple.t) = of_entity plan triple.s
-
-(* FNV-1a, 64-bit offset/prime truncated to OCaml's int. Stable across
-   sessions and platforms (for a fixed int width), unlike interned ids. *)
-let of_name ~shards name =
-  let shards = max 1 shards in
-  if shards = 1 then 0
-  else begin
-    let h = ref 0x1bf29ce484222325 in
-    String.iter
-      (fun c ->
-        h := !h lxor Char.code c;
-        h := !h * 0x100000001b3)
-      name;
-    (!h land max_int) mod shards
-  end

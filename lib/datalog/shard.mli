@@ -3,16 +3,12 @@
     A heap with no schema has no natural partitioning key, which is
     exactly why a mechanical one works: every fact is routed by a fixed
     avalanche hash of its source entity, so any loosely structured heap
-    splits into [n] shards without coordination, and two processes (or
-    two runs) always agree on the owner of a fact. The closure overlays
-    ({!Sharded}), the in-memory heap ([Lsdb.Store]) and the persistent
-    heap ([Lsdb_storage.Sharded_heap]) all route through this module, so
-    their partitions line up.
-
-    Interned entity ids are not stable across sessions, so the
-    persistent layer routes by {e name} ({!of_name}) while the in-memory
-    layers route by id ({!of_entity}); both are deterministic within
-    their domain. *)
+    splits into [n] shards without coordination, and two runs always
+    agree on the owner of a fact. The heap ([Lsdb.Store]) and the
+    closure overlays ({!Sharded}) both route through this module, so
+    their partitions line up. Routing is by interned id, which is stable
+    for the life of a symbol table; on disk the heap is one log and one
+    snapshot, so nothing persistent routes by shard. *)
 
 type plan
 (** An immutable partitioning plan: just the shard count, carried as an
@@ -32,7 +28,3 @@ val of_entity : plan -> int -> int
 
 val of_triple : plan -> Triple.t -> int
 (** Owner shard of a ground triple: [of_entity plan triple.s]. *)
-
-val of_name : shards:int -> string -> int
-(** FNV-1a over the source {e name}, for layers that outlive the symbol
-    table (persistent heaps). Deterministic in [(shards, name)]. *)

@@ -3,14 +3,6 @@ module Governor = Lsdb_exec.Governor
 module Metrics = Lsdb_obs.Metrics
 module Trace = Lsdb_obs.Trace
 
-type base = {
-  b_seq : unit -> Triple.t Seq.t;
-  b_iter : s:int option -> r:int option -> tgt:int option -> (Triple.t -> unit) -> unit;
-  b_mem : Triple.t -> bool;
-  b_count : s:int option -> r:int option -> tgt:int option -> int;
-  b_cardinal : unit -> int;
-}
-
 exception Diverged of int
 
 (* Observability handles, registered once at module initialization. The
@@ -83,17 +75,9 @@ let m_solo_rounds =
     ~help:"Closure rounds evaluated inline on the caller lane"
     "lsdb_sharded_solo_rounds_total"
 
-(* The support index inverts the provenance table: premise ↦ the facts
-   whose recorded derivation uses it. Built lazily by the first
-   retraction, maintained incrementally afterwards. *)
-type support = {
-  deps : unit Triple.Tbl.t Triple.Tbl.t;
-  mutable edges : int;
-}
-
 type t = {
   plan : Shard.plan;
-  base : base;
+  base : Engine.view;
   (* One index per shard. At one shard the stratum copies its input into
      [overlays.(0)] and derives into the same index; above one shard it
      reads its input through [base] and each overlay holds the derived
@@ -101,8 +85,7 @@ type t = {
   overlays : Index.t array;
   shard_derived : Metrics.counter array;
   lane_delta : Metrics.counter array;  (* delta triples evaluated per lane *)
-  provenance : Engine.provenance Triple.Tbl.t;
-  mutable support : support option;
+  derivations : Derivations.t;
   mutable rounds : int;
   mutable exchanged : int;
   max_facts : int;
@@ -131,8 +114,7 @@ let create ?(max_facts = 10_000_000) ~plan base =
             ~help:"Delta triples evaluated by each shard's lane"
             ~labels:[ ("shard", string_of_int i) ]
             "lsdb_sharded_lane_delta_total");
-    provenance = Triple.Tbl.create 256;
-    support = None;
+    derivations = Derivations.create ();
     rounds = 0;
     exchanged = 0;
     max_facts;
@@ -149,6 +131,10 @@ let owner t (triple : Triple.t) = Shard.of_entity t.plan triple.s
    spares a million-fact heap the copy. *)
 let owns_input t = Array.length t.overlays = 1
 
+let cardinal t =
+  let held = Array.fold_left (fun n o -> n + Index.cardinal o) 0 t.overlays in
+  if owns_input t then held else t.base.v_cardinal () + held
+
 (* The union view. Above one shard the overlays are disjoint from the
    base by construction ([admit] refuses anything already visible), so
    cardinals and counts are sums and iteration never yields a fact
@@ -160,11 +146,11 @@ let view t : Engine.view =
     {
       v_mem =
         (fun triple ->
-          t.base.b_mem triple
+          t.base.v_mem triple
           || Index.mem t.overlays.(Shard.of_entity t.plan triple.s) triple);
       v_iter =
         (fun ~s ~r ~tgt f ->
-          t.base.b_iter ~s ~r ~tgt f;
+          t.base.v_iter ~s ~r ~tgt f;
           match s with
           | Some s -> Index.candidates t.overlays.(Shard.of_entity t.plan s) ~s:(Some s) ~r ~tgt f
           | None ->
@@ -173,7 +159,7 @@ let view t : Engine.view =
               done);
       v_count =
         (fun ~s ~r ~tgt ->
-          let base = t.base.b_count ~s ~r ~tgt in
+          let base = t.base.v_count ~s ~r ~tgt in
           match s with
           | Some e -> base + Index.count t.overlays.(Shard.of_entity t.plan e) ~s ~r ~tgt
           | None ->
@@ -182,25 +168,22 @@ let view t : Engine.view =
                 n := !n + Index.count t.overlays.(i) ~s ~r ~tgt
               done;
               !n);
+      v_cardinal = (fun () -> cardinal t);
+      v_seq =
+        (fun () ->
+          Seq.append (t.base.v_seq ())
+            (Seq.concat_map Index.to_seq (Array.to_seq t.overlays)));
     }
 
 let mem t triple =
   Index.mem t.overlays.(owner t triple) triple
-  || ((not (owns_input t)) && t.base.b_mem triple)
+  || ((not (owns_input t)) && t.base.v_mem triple)
 
-let cardinal t =
-  let held = Array.fold_left (fun n o -> n + Index.cardinal o) 0 t.overlays in
-  if owns_input t then held else t.base.b_cardinal () + held
-
-let derived_count t = Triple.Tbl.length t.provenance
-let is_derived t triple = Triple.Tbl.mem t.provenance triple
-let provenance t triple = Triple.Tbl.find_opt t.provenance triple
-let iter_provenance f t = Triple.Tbl.iter f t.provenance
+let derived_count t = Derivations.length t.derivations
+let is_derived t triple = Derivations.mem t.derivations triple
+let provenance t triple = Derivations.find t.derivations triple
+let iter_provenance f t = Derivations.iter f t.derivations
 let iter_overlays f t = Array.iter (Index.iter f) t.overlays
-
-let to_seq t =
-  let overlays = Seq.concat_map Index.to_seq (Array.to_seq t.overlays) in
-  if owns_input t then overlays else Seq.append (t.base.b_seq ()) overlays
 
 let rounds t = t.rounds
 let exchanged t = t.exchanged
@@ -209,71 +192,7 @@ let overlay_cardinals t =
   if owns_input t then [| derived_count t |]
   else Array.map Index.cardinal t.overlays
 
-(* --- support-index maintenance ---------------------------------------- *)
-
-let support_add support fact ({ premises; _ } : Engine.provenance) =
-  List.iter
-    (fun premise ->
-      let cell =
-        match Triple.Tbl.find_opt support.deps premise with
-        | Some cell -> cell
-        | None ->
-            let cell = Triple.Tbl.create 4 in
-            Triple.Tbl.add support.deps premise cell;
-            cell
-      in
-      if not (Triple.Tbl.mem cell fact) then begin
-        Triple.Tbl.add cell fact ();
-        support.edges <- support.edges + 1
-      end)
-    premises
-
-let support_drop support fact ({ premises; _ } : Engine.provenance) =
-  List.iter
-    (fun premise ->
-      match Triple.Tbl.find_opt support.deps premise with
-      | None -> ()
-      | Some cell ->
-          if Triple.Tbl.mem cell fact then begin
-            Triple.Tbl.remove cell fact;
-            support.edges <- support.edges - 1;
-            if Triple.Tbl.length cell = 0 then Triple.Tbl.remove support.deps premise
-          end)
-    premises
-
-(* [record_provenance] and [forget_provenance] are the only writes to the
-   provenance table: they keep the support index (if built) in sync with
-   the recorded derivations. *)
-let record_provenance t fact prov =
-  (match t.support with
-  | Some support -> (
-      (match Triple.Tbl.find_opt t.provenance fact with
-      | Some old -> support_drop support fact old
-      | None -> ());
-      support_add support fact prov)
-  | None -> ());
-  Triple.Tbl.replace t.provenance fact prov
-
-let forget_provenance t fact =
-  match Triple.Tbl.find_opt t.provenance fact with
-  | None -> ()
-  | Some old ->
-      (match t.support with
-      | Some support -> support_drop support fact old
-      | None -> ());
-      Triple.Tbl.remove t.provenance fact
-
-let force_support t =
-  match t.support with
-  | Some support -> support
-  | None ->
-      let support = { deps = Triple.Tbl.create 256; edges = 0 } in
-      Triple.Tbl.iter (fun fact prov -> support_add support fact prov) t.provenance;
-      t.support <- Some support;
-      support
-
-let support_size t =
-  match t.support with Some { edges; _ } -> edges | None -> 0
+let support_size t = Derivations.support_size t.derivations
 
 (* --- index mutation ---------------------------------------------------- *)
 
@@ -288,12 +207,12 @@ let admit t ~view:(v : Engine.view) triple =
    one shard, already visible through the base above. [true] iff the
    stratum did not hold it as input before. *)
 let take_input t triple =
-  if owns_input t then Index.add t.overlays.(0) triple else t.base.b_mem triple
+  if owns_input t then Index.add t.overlays.(0) triple else t.base.v_mem triple
 
 (* Drop a fact from the index holding it, with its recorded derivation. *)
 let drop t triple =
   ignore (Index.remove t.overlays.(owner t triple) triple : bool);
-  forget_provenance t triple
+  Derivations.forget t.derivations triple
 
 (* Imbalance above this (hottest overlay ≥ 1.5× the even share) counts
    as pinned; pinned for this many consecutive fixpoints raises the
@@ -457,7 +376,8 @@ let fixpoint ?pool ?gov t rules seeds =
                      if cardinal t > t.max_facts then raise (Diverged (cardinal t));
                      derived_rev := triple :: !derived_rev;
                      next.(o) <- triple :: next.(o);
-                     record_provenance t triple { Engine.rule = rule.name; premises };
+                     Derivations.record t.derivations triple
+                       { Engine.rule = rule.name; premises };
                      (* After the record: the fact that trips the budget
                         is fully accounted for, so the partial state stays
                         consistent. *)
@@ -498,7 +418,7 @@ let closure ?pool ?gov rules t =
          buf := triple :: !buf;
          incr n;
          if !n land 1023 = 0 then Governor.check gov)
-       (t.base.b_seq ())
+       (t.base.v_seq ())
    with Governor.Trip _ -> ());
   let arr = Array.make !n (Triple.make 0 0 0) in
   List.iteri (fun i triple -> arr.(!n - 1 - i) <- triple) !buf;
@@ -550,29 +470,13 @@ let retract ?pool ?gov rules t deleted =
     ~meta:[ ("deleted", string_of_int (List.length deleted)) ]
   @@ fun () ->
   Metrics.time m_retract_seconds @@ fun () ->
-  let support = force_support t in
-  let cone = Triple.Tbl.create 64 in
-  let stack = Stack.create () in
-  let enter fact =
-    if not (Triple.Tbl.mem cone fact) then begin
-      Triple.Tbl.add cone fact ();
-      Stack.push fact stack
-    end
-  in
   (* At one shard the deleted input facts are still in the stratum's own
      index, so only members enter; above one shard the caller already
      removed them from the base, so they enter unconditionally. *)
-  List.iter
-    (fun fact -> if (not (owns_input t)) || Index.mem t.overlays.(0) fact then enter fact)
-    deleted;
-  while not (Stack.is_empty stack) do
-    let fact = Stack.pop stack in
-    match Triple.Tbl.find_opt support.deps fact with
-    | None -> ()
-    | Some cell -> Triple.Tbl.iter (fun dep () -> enter dep) cell
-  done;
   let cone_list =
-    List.sort Triple.compare (Triple.Tbl.fold (fun f () acc -> f :: acc) cone [])
+    Derivations.cone t.derivations
+      (if owns_input t then List.filter (Index.mem t.overlays.(0)) deleted
+       else deleted)
   in
   List.iter (drop t) cone_list;
   let cone_arr = Array.of_list cone_list in
@@ -618,7 +522,7 @@ let retract ?pool ?gov rules t deleted =
       | None -> ()
       | Some (fact, prov) ->
           if admit t ~view:fullv fact then begin
-            record_provenance t fact prov;
+            Derivations.record t.derivations fact prov;
             seeds_rev := fact :: !seeds_rev
           end)
     checked;

@@ -2,9 +2,10 @@
     maintenance and its support index — the only ones outside the demand
     evaluator ({!Magic}).
 
-    A stratum closes its {e input} (a {!base}: the caller's store, or the
-    previous stratum) under a rule set, recording one derivation per
-    derived fact. Its {!Shard.plan} picks the layout:
+    A stratum closes its {e input} (an {!Engine.view}: the caller's
+    store, or the previous stratum's {!view}) under a rule set, recording
+    one derivation per derived fact ({!Derivations}). Its {!Shard.plan}
+    picks the layout:
     - {b one shard}: the stratum bulk-loads its input into its own
       {!Index.t} and derives into the same index. Every probe then hits
       one packed index, which is what the join loops, galloping
@@ -38,16 +39,6 @@
     unchecked cone facts removed). Callers detect partiality with
     [Governor.tripped]. *)
 
-type base = {
-  b_seq : unit -> Triple.t Seq.t;
-      (** Every input fact, in the order the stratum loads or seeds it. *)
-  b_iter : s:int option -> r:int option -> tgt:int option -> (Triple.t -> unit) -> unit;
-  b_mem : Triple.t -> bool;
-  b_count : s:int option -> r:int option -> tgt:int option -> int;
-      (** Cheap upper bound (posting sizes), for join ordering. *)
-  b_cardinal : unit -> int;
-}
-
 type t
 
 exception Diverged of int
@@ -56,19 +47,20 @@ exception Diverged of int
     generate unboundedly, which the paper notes is possible with
     unrestricted composition. *)
 
-val create : ?max_facts:int -> plan:Shard.plan -> base -> t
-(** An empty stratum over [base]. [max_facts] defaults to 10M. *)
+val create : ?max_facts:int -> plan:Shard.plan -> Engine.view -> t
+(** An empty stratum over the input view. [max_facts] defaults to 10M. *)
 
 val plan : t -> Shard.plan
 
 val view : t -> Engine.view
-(** Everything the stratum sees: its own index at one shard; above one
-    shard the union of base and overlays, where bound-source probes touch
-    the base and one overlay and unbound-source probes fan out across all
-    overlays. *)
+(** Everything the stratum sees, and the next stratum's input: its own
+    index at one shard; above one shard the union of input and overlays,
+    where bound-source probes touch the input and one overlay,
+    unbound-source probes fan out across all overlays, and the sequence
+    is the input's facts, then the overlays shard-major. *)
 
 (** [closure ?pool ?gov rules t] — the semi-naive fixpoint from the input
-    ([base.b_seq], enumerated under the governor's checkpoints; loaded
+    ([v_seq], enumerated under the governor's checkpoints; loaded
     into the stratum's index at one shard). Returns the derived triples in
     derivation order. A governor trip yields a sound prefix. *)
 val closure :
@@ -80,7 +72,7 @@ val closure :
 
 (** [extend ?pool ?gov rules t extras] — maintenance under insertion:
     [extras] just entered the input (the caller has already added them to
-    the base; at one shard the stratum copies them in). Facts the stratum
+    the input view; at one shard the stratum copies them in). Facts the stratum
     had derived are demoted to input (their recorded derivation dropped,
     as a recompute would have it); the genuinely new ones seed a
     fixpoint. Returns the facts the stratum did not see before — new
@@ -96,7 +88,7 @@ val extend :
 
 (** [retract ?pool ?gov rules t deleted] — delete/rederive: [deleted]
     just left the input (above one shard the caller has already removed
-    them from the base). The cone of facts whose recorded derivation
+    them from the input view). The cone of facts whose recorded derivation
     rests on them is over-deleted, then every cone member still derivable
     from the surviving view is restored (the checks fan out across the
     pool, read-only). The fact set then equals a from-scratch {!closure}
@@ -131,15 +123,11 @@ val iter_overlays : (Triple.t -> unit) -> t -> unit
 val owns_input : t -> bool
 (** [true] at one shard, where {!iter_overlays} covers the input too. *)
 
-val to_seq : t -> Triple.t Seq.t
-(** Every fact the stratum sees: its index at one shard; above one shard
-    the base's facts, then the overlays shard-major. *)
-
 val rounds : t -> int
 
 val support_size : t -> int
-(** Edges in the support index (premise ↦ dependents); [0] until the
-    first retraction builds it. *)
+(** {!Derivations.support_size}: [0] until the first retraction builds
+    the support index. *)
 
 val overlay_cardinals : t -> int array
 (** Live derived facts per shard — the partition balance. *)

@@ -57,7 +57,6 @@ let faulty () =
       crashed = false;
     }
 
-let is_faulty = function Real -> false | Faulty _ -> true
 
 (* ------------------------------------------------------------------ *)
 (* Failpoints                                                          *)
@@ -92,8 +91,6 @@ let arm t ~site ?(after = 0) fault =
   match t with
   | Real -> invalid_arg "Vfs.arm: cannot arm faults on the real backend"
   | Faulty st -> Hashtbl.replace st.armed site (ref after, fault)
-
-let disarm_all = function Real -> () | Faulty st -> Hashtbl.reset st.armed
 
 let site_hits = function
   | Real -> []
@@ -267,14 +264,6 @@ let open_trunc t path =
       ino.len <- 0;
       Mfile { st; ino; path; cursor = 0 }
 
-let open_rw t path =
-  match t with
-  | Real -> open_real [ Unix.O_RDWR; Unix.O_CREAT ] path
-  | Faulty st ->
-      check_alive st;
-      let ino = create_inode st path in
-      Mfile { st; ino; path; cursor = 0 }
-
 let real_write_all fd s off len =
   let rec go off remaining =
     if remaining > 0 then begin
@@ -324,31 +313,6 @@ let write ?site file data =
   | Mfile m ->
       let n = faulty_write m.st m.ino m.path ~site ~off:m.cursor data in
       m.cursor <- m.cursor + n
-
-let pwrite ?site file ~off data =
-  match file with
-  | Rfile r ->
-      ignore (Unix.lseek r.fd off Unix.SEEK_SET);
-      real_write_all r.fd (Bytes.to_string data) 0 (Bytes.length data)
-  | Mfile m ->
-      ignore (faulty_write m.st m.ino m.path ~site ~off (Bytes.to_string data))
-
-let pread file ~off buf =
-  match file with
-  | Rfile r ->
-      ignore (Unix.lseek r.fd off Unix.SEEK_SET);
-      let rec go pos =
-        if pos >= Bytes.length buf then pos
-        else
-          let n = Unix.read r.fd buf pos (Bytes.length buf - pos) in
-          if n = 0 then pos else go (pos + n)
-      in
-      go 0
-  | Mfile { st; ino; _ } ->
-      check_alive st;
-      let n = max 0 (min (Bytes.length buf) (ino.len - off)) in
-      if n > 0 then Bytes.blit ino.data off buf 0 n;
-      n
 
 let size = function
   | Rfile r -> (Unix.fstat r.fd).Unix.st_size

@@ -52,16 +52,12 @@ val real : t
 val faulty : unit -> t
 (** A fresh, empty in-memory filesystem with fault injection. *)
 
-val is_faulty : t -> bool
-
 (** {1 Failpoints} (faulty backends only) *)
 
 val arm : t -> site:string -> ?after:int -> fault -> unit
 (** Fire [fault] on the [after]+1-th subsequent hit of [site]
     (default [after = 0]: the next hit). One fault per site; re-arming
     replaces. Faults are one-shot. *)
-
-val disarm_all : t -> unit
 
 val site_hits : t -> (string * int) list
 (** How many times each site has been hit, for enumerating crash
@@ -97,7 +93,11 @@ val fsync_dir : ?site:string -> t -> string -> unit
 val read_file : t -> string -> string option
 (** Whole contents, [None] if absent. *)
 
-(** {1 File handles} *)
+(** {1 File handles}
+
+    Handles are sequential: the log appends and a snapshot is written
+    whole, then read back with {!read_file}, so nothing in the storage
+    layer needs random access. *)
 
 val open_append : t -> string -> file
 (** Create if missing; writes go to the end. *)
@@ -105,16 +105,8 @@ val open_append : t -> string -> file
 val open_trunc : t -> string -> file
 (** Create or truncate to empty. *)
 
-val open_rw : t -> string -> file
-(** Create if missing; random access via {!pread}/{!pwrite}. *)
-
 val write : ?site:string -> file -> string -> unit
 (** Sequential write at the handle's cursor. *)
-
-val pwrite : ?site:string -> file -> off:int -> bytes -> unit
-val pread : file -> off:int -> bytes -> int
-(** [pread file ~off buf] fills [buf] from [off]; short only at EOF.
-    Returns bytes read. *)
 
 val size : file -> int
 val fsync : ?site:string -> file -> unit

@@ -8,6 +8,66 @@ let triple = Triple.make
 
 let closure rules base = fst (stratum rules base)
 
+(* Derivations against a plain map model: fact ↦ premises. *)
+let derivations_agree ops =
+  let d = Derivations.create () in
+  let model = Hashtbl.create 16 in
+  let fact i = triple i 0 0 in
+  let built = ref false in
+  let brute_cone roots =
+    let cone = Hashtbl.create 16 in
+    List.iter (fun r -> Hashtbl.replace cone r ()) roots;
+    let grew = ref true in
+    while !grew do
+      grew := false;
+      Hashtbl.iter
+        (fun f premises ->
+          if (not (Hashtbl.mem cone f)) && List.exists (Hashtbl.mem cone) premises
+          then begin
+            Hashtbl.replace cone f ();
+            grew := true
+          end)
+        model
+    done;
+    List.sort Triple.compare (Hashtbl.fold (fun f () acc -> f :: acc) cone [])
+  in
+  let edges () =
+    Hashtbl.fold
+      (fun _ premises n -> n + List.length (List.sort_uniq Triple.compare premises))
+      model 0
+  in
+  let ok = ref true in
+  List.iter
+    (fun (kind, i, ps) ->
+      let f = fact i and premises = List.map fact ps in
+      if kind <= 5 then begin
+        Derivations.record d f { Engine.rule = "r"; premises };
+        Hashtbl.replace model f premises
+      end
+      else if kind <= 7 then begin
+        Derivations.forget d f;
+        Hashtbl.remove model f
+      end
+      else begin
+        built := true;
+        if Derivations.cone d [ f ] <> brute_cone [ f ] then ok := false
+      end;
+      if !built && Derivations.support_size d <> edges () then ok := false)
+    ops;
+  !ok
+  && Derivations.length d = Hashtbl.length model
+  && Hashtbl.fold
+       (fun f premises acc ->
+         acc
+         && Derivations.mem d f
+         && Option.map (fun (p : Engine.provenance) -> p.premises) (Derivations.find d f)
+            = Some premises)
+       model true
+  && List.for_all
+       (fun roots -> Derivations.cone d roots = brute_cone roots)
+       [ []; [ fact 0 ]; [ fact 1; fact 2 ]; List.init 12 fact ]
+  && Derivations.support_size d = edges ()
+
 let tests =
   [
     test "rule safety: head variable must occur in body" (fun () ->
@@ -180,4 +240,35 @@ let tests =
           (Sharded.cardinal result < List.length base);
         Alcotest.(check bool) "no placeholder fact" false
           (Sharded.mem result (triple 0 0 0)));
+    qcheck "derivations: cone and support size agree with a map model"
+      QCheck.(
+        small_list (triple (int_bound 9) (int_bound 11) (small_list (int_bound 11))))
+      derivations_agree;
+    test "derivations: support size after record, replacing record and forget"
+      (fun () ->
+        let d = Derivations.create () in
+        let f i = triple i 0 0 in
+        let record fact premises =
+          Derivations.record d fact { Engine.rule = "r"; premises }
+        in
+        record (f 1) [ f 10; f 11 ];
+        Alcotest.(check int) "not built before the first cone" 0
+          (Derivations.support_size d);
+        Alcotest.(check (list (of_pp Triple.pp))) "cone of a premise"
+          [ f 1; f 10 ] (Derivations.cone d [ f 10 ]);
+        Alcotest.(check int) "built" 2 (Derivations.support_size d);
+        record (f 2) [ f 10 ];
+        Alcotest.(check int) "record" 3 (Derivations.support_size d);
+        record (f 1) [ f 12; f 12 ];
+        Alcotest.(check int) "replacing record, repeated premise" 2
+          (Derivations.support_size d);
+        Alcotest.(check (list (of_pp Triple.pp))) "old premise no longer reaches it"
+          [ f 2; f 10 ] (Derivations.cone d [ f 10 ]);
+        Derivations.forget d (f 2);
+        Alcotest.(check int) "forget" 1 (Derivations.support_size d);
+        Derivations.forget d (f 3);
+        Alcotest.(check int) "forgetting an unrecorded fact" 1
+          (Derivations.support_size d);
+        Derivations.forget d (f 1);
+        Alcotest.(check int) "empty" 0 (Derivations.support_size d));
   ]

@@ -9,11 +9,6 @@ open Testutil
 module Index = Lsdb_datalog.Index
 module Triple = Lsdb_datalog.Triple
 
-let with_policy p f =
-  let saved = Index.policy () in
-  Index.set_policy p;
-  Fun.protect ~finally:(fun () -> Index.set_policy saved) f
-
 let t3 (s, r, t) = Triple.make s r t
 
 let contents idx =
@@ -203,12 +198,9 @@ let tests =
         done);
     test "watermark quiesce freezes and stays content-neutral" (fun () ->
         with_policy Index.Watermark @@ fun () ->
-        let saved = Index.min_delta () in
-        Index.set_min_delta 64;
-        Fun.protect ~finally:(fun () -> Index.set_min_delta saved)
-        @@ fun () ->
         let idx = Index.create () in
-        let triples = random_triples ~entities:40 ~rels:4 2_000 in
+        (* Enough distinct triples to pass the 8,192-triple watermark. *)
+        let triples = random_triples ~entities:200 ~rels:4 12_000 in
         List.iter
           (fun tr ->
             ignore (Index.add idx (t3 tr));
@@ -217,6 +209,7 @@ let tests =
         let expected =
           List.sort_uniq Triple.compare (List.map t3 triples)
         in
+        Alcotest.(check bool) "past the watermark" true (List.length expected > 8_192);
         Alcotest.(check bool) "content intact" true (contents idx = expected);
         Alcotest.(check bool) "watermark fired" true
           ((Index.tier_stats idx).Index.freezes > 0));

@@ -143,15 +143,7 @@ let tests =
           let idx = Index.create () in
           List.iter (fun tr -> ignore (Index.add idx tr : bool)) base;
           let m =
-            Magic.create_shared ~staged_rules:[] ~rules
-              {
-                Magic.bv_iter = (fun ~s ~r ~tgt f -> Index.candidates idx ~s ~r ~tgt f);
-                bv_mem = Index.mem idx;
-                bv_count = (fun ~s ~r ~tgt -> Index.count idx ~s ~r ~tgt);
-                bv_count_s = Index.count_s idx;
-                bv_count_t = Index.count_t idx;
-                bv_cardinal = (fun () -> Index.cardinal idx);
-              }
+            Magic.create_shared ~staged_rules:[] ~rules (Engine.view_of_index idx)
           in
           let collect ~s ~r ~tgt =
             let got = ref [] in

@@ -1,7 +1,7 @@
-(* Sharded fact heaps: the hash partitioner, the sharded store, the
-   sharded closure dispatch, and the storage-layer shard views. The
-   master contract throughout: query results are content-identical at
-   every shard count — the oracle is always the 1-shard layout. *)
+(* Sharded fact heaps: the hash partitioner, the sharded store and the
+   sharded closure. The master contract throughout: query results are
+   content-identical at every shard count — the oracle is always the
+   1-shard layout. *)
 
 open Lsdb
 open Testutil
@@ -53,27 +53,6 @@ let tests =
         let t = Lsdb_datalog.Triple.make 17 3 99 in
         Alcotest.(check int) "source owns the fact"
           (Shard.of_entity plan 17) (Shard.of_triple plan t));
-    test "partitioner: of_name is deterministic and in range" (fun () ->
-        List.iter
-          (fun name ->
-            let s = Shard.of_name ~shards:8 name in
-            Alcotest.(check bool) "in range" true (s >= 0 && s < 8);
-            Alcotest.(check int) "stable" s (Shard.of_name ~shards:8 name);
-            Alcotest.(check int) "one shard" 0 (Shard.of_name ~shards:1 name))
-          [ "JOHN"; "E0"; "E1"; "∈"; ""; "a-rather-long-entity-name" ]);
-    test "partitioner: distinct names spread over every shard" (fun () ->
-        let counts = Array.make 8 0 in
-        for i = 0 to 9_999 do
-          let s = Shard.of_name ~shards:8 (Printf.sprintf "E%d" i) in
-          counts.(s) <- counts.(s) + 1
-        done;
-        Array.iteri
-          (fun i n ->
-            Alcotest.(check bool)
-              (Printf.sprintf "shard %d got a fair share" i)
-              true
-              (n > 10_000 / 8 / 2 && n < 10_000 / 8 * 2))
-          counts);
     qcheck "partitioner: every entity id lands in range"
       QCheck.(pair (int_range 1 16) (int_range 0 1_000_000_000))
       (fun (n, e) ->
@@ -530,87 +509,6 @@ let tests =
           = closure_facts (Federation.database f));
         check_holds (Federation.database f) "cross-member inference"
           ("JOHN", "in", "PERSON"));
-    (* --- storage layer --------------------------------------------- *)
-    test "sharded heap: round-trips through shard files" (fun () ->
-        let dir = Filename.temp_file "lsdb_shardheap" "" in
-        Sys.remove dir;
-        Unix.mkdir dir 0o755;
-        let path = Filename.concat dir "facts" in
-        let h = Lsdb_storage.Sharded_heap.open_ ~shards:4 path in
-        Alcotest.(check int) "shard count" 4
-          (Lsdb_storage.Sharded_heap.shard_count h);
-        let facts =
-          List.init 50 (fun i ->
-              (Printf.sprintf "E%d" i, "REL", Printf.sprintf "E%d" (i + 1)))
-        in
-        List.iter
-          (fun f ->
-            Alcotest.(check bool) "fresh insert" true
-              (Lsdb_storage.Sharded_heap.insert h f))
-          facts;
-        Alcotest.(check bool) "duplicate insert" false
-          (Lsdb_storage.Sharded_heap.insert h (List.hd facts));
-        Alcotest.(check int) "cardinal" 50
-          (Lsdb_storage.Sharded_heap.cardinal h);
-        Alcotest.(check int) "shard cardinals sum" 50
-          (Array.fold_left ( + ) 0
-             (Lsdb_storage.Sharded_heap.shard_cardinals h));
-        Alcotest.(check bool) "delete" true
-          (Lsdb_storage.Sharded_heap.delete h ("E0", "REL", "E1"));
-        Lsdb_storage.Sharded_heap.close h;
-        (* Reopen with the same shard count: everything is still there. *)
-        let h = Lsdb_storage.Sharded_heap.open_ ~shards:4 path in
-        Alcotest.(check int) "cardinal after reopen" 49
-          (Lsdb_storage.Sharded_heap.cardinal h);
-        Alcotest.(check bool) "membership after reopen" true
-          (Lsdb_storage.Sharded_heap.mem h ("E7", "REL", "E8"));
-        Alcotest.(check bool) "deletion survived" false
-          (Lsdb_storage.Sharded_heap.mem h ("E0", "REL", "E1"));
-        let db = Lsdb_storage.Sharded_heap.to_database h in
-        Alcotest.(check int) "to_database carries the shard count" 4
-          (Database.shards db);
-        Alcotest.(check int) "to_database content"
-          (49 + List.length Database.axiom_facts)
-          (Database.base_cardinal db);
-        Lsdb_storage.Sharded_heap.close h);
-    test "sharded heap: one shard is a plain fact heap" (fun () ->
-        let dir = Filename.temp_file "lsdb_shardheap1" "" in
-        Sys.remove dir;
-        Unix.mkdir dir 0o755;
-        let path = Filename.concat dir "facts" in
-        let h = Lsdb_storage.Sharded_heap.open_ path in
-        ignore (Lsdb_storage.Sharded_heap.insert h ("A", "isa", "B"));
-        Lsdb_storage.Sharded_heap.close h;
-        (* The single-shard layout writes to [path] itself. *)
-        let plain = Lsdb_storage.Fact_heap.open_ path in
-        Alcotest.(check bool) "plain heap reads it" true
-          (Lsdb_storage.Fact_heap.mem plain ("A", "isa", "B"));
-        Lsdb_storage.Fact_heap.close plain);
-    test "triple index: sharded trees answer like the flat trees" (fun () ->
-        let db = Paper_examples.organization () in
-        let oracle = Lsdb_storage.Triple_index.of_database db in
-        Database.set_shards db 4;
-        let sharded = Lsdb_storage.Triple_index.of_database db in
-        Alcotest.(check int) "shard count carried over" 4
-          (Lsdb_storage.Triple_index.shard_count sharded);
-        Alcotest.(check int) "cardinal"
-          (Lsdb_storage.Triple_index.cardinal oracle)
-          (Lsdb_storage.Triple_index.cardinal sharded);
-        let isa = Database.entity db "isa" in
-        List.iter
-          (fun pat ->
-            Alcotest.(check bool) "same answers" true
-              (List.sort Fact.compare
-                 (Lsdb_storage.Triple_index.match_list oracle pat)
-              = List.sort Fact.compare
-                  (Lsdb_storage.Triple_index.match_list sharded pat)))
-          [
-            Store.pattern ();
-            Store.pattern ~s:(Database.entity db "JOHN") ();
-            Store.pattern ~r:isa ();
-            Store.pattern ~t:(Database.entity db "EMPLOYEE") ();
-            Store.pattern ~r:isa ~t:(Database.entity db "EMPLOYEE") ();
-          ]);
     (* --- the workload generator ------------------------------------ *)
     test "shard_gen: deterministic for a fixed seed" (fun () ->
         let params =

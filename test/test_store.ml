@@ -30,12 +30,6 @@ let shapes (f : Fact.t) =
     Store.pattern ~s ~r ~t ();
   ]
 
-let with_policy p f =
-  let module Index = Lsdb_datalog.Index in
-  let saved = Index.policy () in
-  Index.set_policy p;
-  Fun.protect ~finally:(fun () -> Index.set_policy saved) f
-
 (* A store built from a bulk-loaded prefix, then [ops]: [0..4] add,
    [5..7] remove, [8] remove a loaded fact and add it back, [9] reshard
    to the other of 1 and 4 shards. *)
@@ -91,6 +85,9 @@ let loaded_model_agrees ~shards (prefix, ops) =
   in
   expect "active entities"
     (List.sort compare (List.of_seq (Store.active_entities store)) = entities);
+  for e = 0 to 9 do
+    expect "entity_active" (Store.entity_active store e = List.mem e entities)
+  done;
   expect "cardinal" (Store.cardinal store = List.length model_facts);
   true
 

@@ -39,22 +39,23 @@ let test name f = Alcotest.test_case name `Quick f
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
+(* Run [f] under the process-global freeze policy [p], restoring the
+   previous policy afterwards: the suites share one process. *)
+let with_policy p f =
+  let module Index = Lsdb_datalog.Index in
+  let saved = Index.policy () in
+  Index.set_policy p;
+  Fun.protect ~finally:(fun () -> Index.set_policy saved) f
+
 (* The engine itself, one stratum at one shard, closing [facts] under
    [rules]: the layout that copies its input into its own index. *)
 let stratum ?max_facts ?pool ?gov rules facts =
   let module D = Lsdb_datalog in
   let input = D.Index.create () in
   List.iter (fun f -> ignore (D.Index.add input f : bool)) facts;
-  let v = D.Engine.view_of_index input in
   let s =
     D.Sharded.create ?max_facts ~plan:(D.Shard.plan 1)
-      {
-        b_seq = (fun () -> List.to_seq facts);
-        b_iter = v.v_iter;
-        b_mem = v.v_mem;
-        b_count = v.v_count;
-        b_cardinal = (fun () -> D.Index.cardinal input);
-      }
+      { (D.Engine.view_of_index input) with v_seq = (fun () -> List.to_seq facts) }
   in
   let derived = D.Sharded.closure ?pool ?gov rules s in
   (s, derived)
