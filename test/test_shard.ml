@@ -58,6 +58,25 @@ let tests =
       (fun (n, e) ->
         let s = Shard.of_entity (Shard.plan n) e in
         0 <= s && s < n);
+    test "partitioner: consecutive entity ids spread over every shard" (fun () ->
+        (* Interned ids are small consecutive integers: the hash must
+           still give every shard a fair share of them. *)
+        List.iter
+          (fun n ->
+            let plan = Shard.plan n in
+            let counts = Array.make n 0 in
+            for e = 0 to 9_999 do
+              let s = Shard.of_entity plan e in
+              counts.(s) <- counts.(s) + 1
+            done;
+            Array.iteri
+              (fun i c ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%d shards: shard %d got a fair share" n i)
+                  true
+                  (c > 10_000 / n / 2 && c < 10_000 / n * 2))
+              counts)
+          [ 2; 4; 8; 16 ]);
     (* --- the sharded store ----------------------------------------- *)
     test "store: sharded content equals the single-heap layout" (fun () ->
         let mk shards =
@@ -144,6 +163,48 @@ let tests =
         ignore (Store.add c (Fact.make 7 8 9));
         Alcotest.(check bool) "copies are independent" false
           (Store.mem st (Fact.make 7 8 9)));
+    test "store: the read view answers like the store" (fun () ->
+        let st = Store.create ~shards:4 () in
+        for i = 0 to 299 do
+          ignore (Store.add st (Fact.make (i mod 29) (i mod 4) (i mod 41)))
+        done;
+        let v = Store.view st in
+        let check_view what =
+          Alcotest.(check int) (what ^ ": cardinal") (Store.cardinal st)
+            (v.v_cardinal ());
+          Alcotest.(check bool) (what ^ ": sequence") true
+            (List.of_seq (v.v_seq ()) = Store.to_list st);
+          List.iter
+            (fun (pat : Store.pattern) ->
+              let got = ref [] in
+              v.v_iter ~s:pat.s ~r:pat.r ~tgt:pat.t (fun f -> got := f :: !got);
+              Alcotest.(check bool) (what ^ ": v_iter") true
+                (List.sort Fact.compare !got
+                = List.sort Fact.compare (Store.match_list st pat));
+              Alcotest.(check int) (what ^ ": v_count") (Store.count_fast st pat)
+                (v.v_count ~s:pat.s ~r:pat.r ~tgt:pat.t))
+            [
+              Store.pattern ();
+              Store.pattern ~s:3 ();
+              Store.pattern ~r:2 ();
+              Store.pattern ~t:7 ();
+              Store.pattern ~s:3 ~r:2 ();
+              Store.pattern ~s:3 ~r:2 ~t:7 ();
+            ];
+          List.iter
+            (fun f ->
+              Alcotest.(check bool) (what ^ ": v_mem") (Store.mem st f) (v.v_mem f))
+            [ Fact.make 3 3 3; Fact.make 5 1 5; Fact.make 28 0 40; Fact.make 100 1 101 ]
+        in
+        check_view "4 shards";
+        (* The view is taken once and must follow the store it reads. *)
+        Store.reshard st 2;
+        check_view "after reshard";
+        ignore (Store.add st (Fact.make 100 1 101));
+        check_view "after add";
+        Store.clear st;
+        check_view "after clear";
+        Alcotest.(check int) "empty" 0 (v.v_cardinal ()));
     (* --- closure dispatch ------------------------------------------ *)
     test "closure: dispatcher picks the layout the store has" (fun () ->
         let oracle = Paper_examples.organization () in
@@ -223,6 +284,21 @@ let tests =
         let db = org_at_shards 4 in
         toggle db;
         check_same_closure "after exclude/include round-trip" oracle db);
+    test "closure: re-sharding a closed database keeps identity" (fun () ->
+        let oracle = Paper_examples.organization () in
+        let db = Paper_examples.organization () in
+        ignore (Database.closure db);
+        List.iter
+          (fun n ->
+            Database.set_shards db n;
+            check_same_closure (Printf.sprintf "resharded to %d" n) oracle db)
+          [ 4; 8; 1; 2 ];
+        ignore (Database.insert_names oracle "ALICE" "in" "EMPLOYEE");
+        ignore (Database.insert_names db "ALICE" "in" "EMPLOYEE");
+        check_same_closure "extended after resharding" oracle db;
+        ignore (Database.remove_names oracle "JOHN" "in" "EMPLOYEE");
+        ignore (Database.remove_names db "JOHN" "in" "EMPLOYEE");
+        check_same_closure "retracted after resharding" oracle db);
     test "closure: degree and count accessors agree" (fun () ->
         let oracle = Paper_examples.organization () in
         let db = org_at_shards 8 in
@@ -509,6 +585,114 @@ let tests =
           = closure_facts (Federation.database f));
         check_holds (Federation.database f) "cross-member inference"
           ("JOHN", "in", "PERSON"));
+    (* --- read views and the on-disk heap --------------------------- *)
+    test "sharded view: input and overlays answer like one index" (fun () ->
+        let open Lsdb_datalog in
+        let edge = 3 in
+        let rule =
+          Rule.make ~name:"trans"
+            ~body:
+              [
+                Atom.make (Term.Var 0) (Term.Const edge) (Term.Var 1);
+                Atom.make (Term.Var 1) (Term.Const edge) (Term.Var 2);
+              ]
+            ~heads:[ Atom.make (Term.Var 0) (Term.Const edge) (Term.Var 2) ]
+            ()
+        in
+        (* The store stays reachable from the stratum: above one shard the
+           stratum reads its input through the store's view. *)
+        let closed shards =
+          let store = Store.create ~shards () in
+          for i = 0 to 39 do
+            ignore (Store.add store (Fact.make (i mod 13) edge ((i * 7) mod 17)));
+            ignore (Store.add store (Fact.make i 1 (i + 1)))
+          done;
+          let s = Sharded.create ~plan:(Shard.plan shards) (Store.view store) in
+          ignore (Sharded.closure [ rule ] s : Triple.t list);
+          Sharded.view s
+        in
+        let matches (v : Engine.view) ~s ~r ~tgt =
+          let acc = ref [] in
+          v.v_iter ~s ~r ~tgt (fun f -> acc := f :: !acc);
+          List.sort Triple.compare !acc
+        in
+        let oracle = closed 1 in
+        let everything = List.sort Triple.compare (List.of_seq (oracle.v_seq ())) in
+        Alcotest.(check bool) "the rule derived something" true
+          (List.length everything > 80);
+        List.iter
+          (fun shards ->
+            let v = closed shards in
+            let what fmt = Printf.sprintf ("%d shards: " ^^ fmt) shards in
+            let seq = List.of_seq (v.v_seq ()) in
+            Alcotest.(check int) (what "cardinal") (oracle.v_cardinal ()) (v.v_cardinal ());
+            Alcotest.(check int) (what "sequence yields each fact once")
+              (v.v_cardinal ()) (List.length seq);
+            Alcotest.(check bool) (what "same facts") true
+              (List.sort Triple.compare seq = everything);
+            List.iter
+              (fun (s, r, tgt) ->
+                let expected = matches oracle ~s ~r ~tgt in
+                Alcotest.(check bool) (what "v_iter") true (matches v ~s ~r ~tgt = expected);
+                Alcotest.(check int) (what "v_count") (List.length expected)
+                  (v.v_count ~s ~r ~tgt))
+              [
+                (None, None, None);
+                (Some 4, None, None);
+                (None, Some edge, None);
+                (None, None, Some 9);
+                (Some 4, Some edge, None);
+                (None, Some edge, Some 9);
+                (Some 4, None, Some 9);
+              ];
+            List.iter
+              (fun f -> Alcotest.(check bool) (what "v_mem") true (v.v_mem f))
+              everything;
+            Alcotest.(check bool) (what "v_mem refuses a stranger") false
+              (v.v_mem (Triple.make 500 edge 501)))
+          [ 2; 4; 8 ]);
+    test "persistent: a sharded heap survives compaction and reopen" (fun () ->
+        let module P = Lsdb_storage.Persistent in
+        let name_facts db =
+          Store.to_list (Database.store db)
+          |> List.map (Fact.names (Database.symtab db))
+          |> List.sort compare
+        in
+        let name_closure db =
+          let acc = ref [] in
+          Closure.iter
+            (fun f -> acc := Fact.names (Database.symtab db) f :: !acc)
+            (Database.closure db);
+          List.sort compare !acc
+        in
+        with_temp_dir (fun dir ->
+            let p = P.open_dir dir in
+            let db = P.database p in
+            Database.set_shards db 4;
+            for i = 0 to 49 do
+              ignore
+                (P.insert_names p (Printf.sprintf "E%d" i) "isa"
+                   (Printf.sprintf "E%d" (i + 1)))
+            done;
+            ignore (P.remove p (fact db ("E0", "isa", "E1")));
+            (* The snapshot is written from the shard-major heap; one more
+               op stays in the log. *)
+            P.compact p;
+            ignore (P.insert_names p "JOHN" "in" "E7");
+            let facts = name_facts db and closed = name_closure db in
+            P.close p;
+            let p = P.open_dir dir in
+            Fun.protect
+              ~finally:(fun () -> P.close p)
+              (fun () ->
+                let back = P.database p in
+                Alcotest.(check bool) "base facts" true (name_facts back = facts);
+                Alcotest.(check bool) "closure at one shard" true
+                  (name_closure back = closed);
+                Database.set_shards back 4;
+                Alcotest.(check bool) "closure at four shards" true
+                  (name_closure back = closed);
+                check_holds back "membership climbs the chain" ("JOHN", "in", "E50"))));
     (* --- the workload generator ------------------------------------ *)
     test "shard_gen: deterministic for a fixed seed" (fun () ->
         let params =

@@ -2,22 +2,6 @@ open Lsdb
 open Lsdb_storage
 open Testutil
 
-let with_temp_dir f =
-  let dir = Filename.temp_file "lsdb_store" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      let rec rm path =
-        if Sys.is_directory path then begin
-          Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-          Sys.rmdir path
-        end
-        else Sys.remove path
-      in
-      rm dir)
-    (fun () -> f dir)
-
 (* A snapshot laid out as an older writer did: the dictionary numbered
    by first appearance over the facts in [order], which need not ascend,
    and each fact written [copies] times. [extra_index] appends one fact

@@ -34,6 +34,23 @@ let check_proposition db what text expected =
 let names db entities =
   List.map (Database.entity_name db) entities |> List.sort String.compare
 
+(* Run [f] on a fresh directory, removed with its content afterwards. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "lsdb_store" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      let rec rm path =
+        if Sys.is_directory path then begin
+          Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
+          Sys.rmdir path
+        end
+        else Sys.remove path
+      in
+      rm dir)
+    (fun () -> f dir)
+
 let test name f = Alcotest.test_case name `Quick f
 
 let qcheck ?(count = 200) name gen prop =
