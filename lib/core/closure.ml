@@ -3,16 +3,16 @@ module D = Lsdb_datalog
 exception Diverged = D.Sharded.Diverged
 
 (* Two strata over the store: the inversion stage, then the main rules,
-   whose input is everything the stage sees — so stage consequences are
+   whose input is everything the stage holds — so stage consequences are
    input facts to the main rules, with their provenance kept in the stage.
-   The shard plan picks each stratum's layout ({!D.Sharded}). *)
+   Each stratum owns a packed copy of its input ({!D.Sharded}). *)
 type t = {
   store : Store.t;
   stage : D.Sharded.t option;
       (* [None] when computed without staged rules, or when a governor
          trip inside the stage made it the (partial) closure itself *)
   main : D.Sharded.t;
-  view : D.Engine.view;  (* the main stratum's, i.e. the whole closure *)
+  view : D.Engine.view;  (* the main stratum's index, i.e. the whole closure *)
   mutable staged_rules : D.Rule.t list;
   mutable rules : D.Rule.t list;
   mutable actives : (int, unit) Hashtbl.t option;
@@ -34,9 +34,8 @@ let is_derived t fact =
 
 let compute ?(max_facts = 2_000_000) ?pool ?gov ?(staged_rules = []) ~rules
     store =
-  let plan = D.Shard.plan (Store.shards store) in
   let stratum rules base =
-    let s = D.Sharded.create ~max_facts ~plan base in
+    let s = D.Sharded.create ~max_facts base in
     (s, D.Sharded.closure ?pool ?gov rules s)
   in
   let stage, main, derived =
@@ -49,8 +48,8 @@ let compute ?(max_facts = 2_000_000) ?pool ?gov ?(staged_rules = []) ~rules
         if Lsdb_exec.Governor.is_tripped gov then
           (* The budget tripped inside the inversion stratum. Running the
              main stratum now would only trip at its first checkpoint —
-             at one shard after loading a whole index copy, so a wall
-             deadline would lose twice the budget to loads alone. Adopt
+             after loading a whole index copy, so a wall deadline would
+             lose twice the budget to loads alone. Adopt
              the stage as the partial result instead: it sees every base
              fact plus whatever inversions landed, the cache is flagged
              partial and discarded at the next governor transition, and
@@ -200,30 +199,25 @@ let count_matches t pat =
   !n
 
 (* Exact O(1) selectivity probes: index ranges/postings net of
-   tombstones, plus exact store bucket sizes above one shard. These back
-   conjunct ordering in Eval.cost and frontier selection in
-   Composition. *)
+   tombstones. These back conjunct ordering in Eval.cost and frontier
+   selection in Composition. *)
 let count_pattern t (pat : Store.pattern) =
   t.view.v_count ~s:pat.s ~r:pat.r ~tgt:pat.t
 
 let out_degree t e = t.view.v_count ~s:(Some e) ~r:None ~tgt:None
 let in_degree t e = t.view.v_count ~s:None ~r:None ~tgt:(Some e)
 
-(* Entities of the facts the strata hold in their own indexes. At one
-   shard the main index holds the whole closure, so the table alone
-   answers (and enumerates in index order); above one shard it covers the
-   derived overlays and the store's own counts answer for the base.
-   The cache mutates under read; concurrent readers (parallel retraction
-   waves) must force it from a single domain first — see
+(* Entities of the closure's facts. The main stratum's index holds the
+   whole closure, so the table alone answers (and enumerates in index
+   order). The cache mutates under read; concurrent readers (parallel
+   retraction waves) must force it from a single domain first — see
    [prepare_readers]. *)
 let force_actives t =
   match t.actives with
   | Some table -> table
   | None ->
       let table = Hashtbl.create 256 in
-      let add = note_active table in
-      if D.Sharded.owns_input t.main then D.Sharded.iter_overlays add t.main
-      else List.iter (D.Sharded.iter_overlays add) (strata t);
+      t.view.v_iter ~s:None ~r:None ~tgt:None (note_active table);
       t.actives <- Some table;
       table
 
@@ -232,30 +226,11 @@ let prepare_readers t = ignore (force_actives t)
 let entity_active t e =
   Hashtbl.mem (force_actives t) e || Store.entity_active t.store e
 
-let active_entities t =
-  let held = force_actives t in
-  if D.Sharded.owns_input t.main then Hashtbl.to_seq_keys held
-  else
-    Seq.append
-      (Store.active_entities t.store)
-      (Seq.filter
-         (fun e -> not (Store.entity_active t.store e))
-         (Hashtbl.to_seq_keys held))
-
-(** {1 Shard introspection} *)
-
-let shards t = D.Shard.shards (D.Sharded.plan t.main)
-
-let overlay_cardinals t =
-  let cards = List.map D.Sharded.overlay_cardinals (strata t) in
-  Array.init (shards t) (fun i -> List.fold_left (fun n c -> n + c.(i)) 0 cards)
-
-let exchanged t = sum D.Sharded.exchanged t
+let active_entities t = Hashtbl.to_seq_keys (force_actives t)
 
 let tier_stats t =
   List.fold_left
     (fun acc s -> D.Index.sum_stats acc (D.Sharded.tier_stats s))
     D.Index.zero_stats (strata t)
 
-let reshard_hint t = List.find_map D.Sharded.reshard_hint (List.rev (strata t))
 let intersect t h1 h2 emit = D.Sharded.intersect t.main h1 h2 emit

@@ -24,15 +24,14 @@ exception Diverged of int
     unsoundness in the rules as printed that only shows up when they are
     actually executed (see DESIGN.md).
 
-    Both strata are {!Lsdb_datalog.Sharded} evaluations, and the store's
-    shard count ({!Store.shards}) picks their layout. At one shard each
-    stratum bulk-loads its input (the stage: the store; the main stratum:
-    the stage's index) into its own packed index and derives into it, so
-    every read hits one index. Above one shard both strata read through
-    the store and keep only derived facts, in hash-partitioned overlays.
-    Content is identical at every shard count; enumeration and derivation
-    order are not (compare canonically sorted). [max_facts] bounds each
-    stratum for this closure's lifetime, maintenance included. *)
+    Both strata are {!Lsdb_datalog.Sharded} evaluations. Each bulk-loads
+    its input (the stage: the store; the main stratum: the stage's index)
+    into its own packed index and derives into it, so every read hits one
+    index, whatever the store's shard count ({!Store.shards}). Content is
+    identical at every shard count; enumeration and derivation order are
+    not, since the store enumerates shard-major (compare canonically
+    sorted). [max_facts] bounds each stratum for this closure's lifetime,
+    maintenance included. *)
 val compute :
   ?max_facts:int ->
   ?pool:Lsdb_exec.Pool.t ->
@@ -138,8 +137,7 @@ val match_list : t -> Store.pattern -> Fact.t list
 val count_matches : t -> Store.pattern -> int
 
 (** [count_pattern t pat] — the number of closure facts matching [pat],
-    in O(1) (see {!Lsdb_datalog.Index.count}; exact on one shard's index,
-    exact store buckets plus exact overlay postings above one shard).
+    in O(1) and exact (see {!Lsdb_datalog.Index.count}).
     [count_matches] walks the candidates instead; this is the cheap
     probe for join ordering and frontier selection. *)
 val count_pattern : t -> Store.pattern -> int
@@ -162,37 +160,18 @@ val entity_active : t -> Entity.t -> bool
     before the fan-out, with no interleaved mutation. *)
 val prepare_readers : t -> unit
 
-(** {1 Shard introspection (B20, shell [.stats])} *)
-
-(** Shard count of the closure's layout. *)
-val shards : t -> int
-
-(** Live derived facts per shard (one slot at one shard), stage and main
-    strata summed — the balance behind the imbalance gauge. *)
-val overlay_cardinals : t -> int array
-
-(** Cross-shard deltas routed at round barriers over this closure's
-    lifetime; [0] at one shard. *)
-val exchanged : t -> int
+(** {1 The closure's indexes} *)
 
 (** Frozen/delta posting-tier sizes of the closure's indexes, summed over
-    both strata: at one shard each stratum's whole index, above one shard
-    their derived overlays. *)
+    both strata (shell [.stats]). *)
 val tier_stats : t -> Lsdb_datalog.Index.tier_stats
-
-(** Reshard suggestion [(shard, permille, streak)] when the sharded
-    imbalance gauge has pinned over threshold for several consecutive
-    fixpoints; [None] at one shard or while balanced. *)
-val reshard_hint : t -> (int * int * int) option
 
 (** [intersect t h1 h2 emit] — gallop-intersect two posting paths of the
     closure's index, calling [emit] once per entity filling both hinges'
-    free position. [false] above one shard (no single packed index to
-    intersect — the caller falls back to a hash semi-join over
-    [match_pattern]). *)
+    free position. *)
 val intersect :
   t ->
   Lsdb_datalog.Index.hinge ->
   Lsdb_datalog.Index.hinge ->
   (Entity.t -> unit) ->
-  bool
+  unit

@@ -107,15 +107,10 @@ let uid t = t.uid
 let generation t = t.generation
 let shards t = Store.shards t.store
 
-(* Re-partition the heap in place. The closure's layout follows the
-   store's shard count, so dropping the caches is all that's needed for
-   the next access to come up on the right one. *)
-let set_shards t n =
-  let n = max 1 n in
-  if n <> Store.shards t.store then begin
-    Store.reshard t.store n;
-    invalidate t
-  end
+(* Re-partition the heap in place. No cache depends on the shard count:
+   the closure's strata own their copies, and the demand evaluator reads
+   [Store.view], which follows the new partition. *)
+let set_shards t n = Store.reshard t.store (max 1 n)
 let set_pool t pool = t.pool <- pool
 let pool t = t.pool
 
@@ -395,35 +390,31 @@ let hinge_free (h : Index.hinge) (fact : Fact.t) =
   | Index.In _ -> fact.Lsdb_datalog.Triple.s
   | Index.Via _ -> fact.Lsdb_datalog.Triple.r
 
-(* [intersect_join t h1 h2 emit]: every entity filling both hinges' free
-   position, once each. The eager one-shard closure gallops its index's
-   packed postings directly; sharded and demand modes fall back
-   to a hash semi-join over [closure_match] — enumerate the smaller
-   hinge (by {!count_hint}) into a set, probe with the larger. Demand
-   mode thereby issues exactly two pattern demands. *)
+(* [intersect_join t h1 h2 emit]: every entity filling both hinges'
+   free position, once each. An eager closure gallops its index's packed
+   postings directly. Demand mode has no packed index: it runs a hash
+   semi-join over [closure_match] — enumerate the smaller hinge (by
+   {!count_hint}) into a set, probe with the larger — and so issues
+   exactly two pattern demands. *)
 let intersect_join t h1 h2 emit =
-  let galloped =
-    match t.closure_mode with
-    | Eager -> Closure.intersect (closure t) h1 h2 emit
-    | Demand -> false
-  in
-  if not galloped then begin
-    let p1 = hinge_pattern h1 and p2 = hinge_pattern h2 in
-    let small_h, small_p, big_h, big_p =
-      if count_hint t p1 <= count_hint t p2 then (h1, p1, h2, p2)
-      else (h2, p2, h1, p1)
-    in
-    let seen = Hashtbl.create 64 in
-    closure_match t small_p (fun fact ->
-        Hashtbl.replace seen (hinge_free small_h fact) ());
-    closure_match t big_p (fun fact ->
-        let v = hinge_free big_h fact in
-        if Hashtbl.mem seen v then begin
-          (* Remove before emitting: each entity exactly once. *)
-          Hashtbl.remove seen v;
-          emit v
-        end)
-  end
+  match t.closure_mode with
+  | Eager -> Closure.intersect (closure t) h1 h2 emit
+  | Demand ->
+      let p1 = hinge_pattern h1 and p2 = hinge_pattern h2 in
+      let small_h, small_p, big_h, big_p =
+        if count_hint t p1 <= count_hint t p2 then (h1, p1, h2, p2)
+        else (h2, p2, h1, p1)
+      in
+      let seen = Hashtbl.create 64 in
+      closure_match t small_p (fun fact ->
+          Hashtbl.replace seen (hinge_free small_h fact) ());
+      closure_match t big_p (fun fact ->
+          let v = hinge_free big_h fact in
+          if Hashtbl.mem seen v then begin
+            (* Remove before emitting: each entity exactly once. *)
+            Hashtbl.remove seen v;
+            emit v
+          end)
 
 exception Intersect_hit
 
@@ -446,11 +437,6 @@ let tier_stats t =
   match t.demand_cache with
   | Some m -> Index.sum_stats acc (Magic.tier_stats m)
   | None -> acc
-
-let reshard_hint t =
-  match t.closure_cache with
-  | Some c -> Closure.reshard_hint c
-  | None -> None
 
 (* The active domain in demand mode, without forcing the closure: every
    entity of a derived fact is propagated from some base fact or is a

@@ -17,21 +17,20 @@ type t
     enabled and composition disabled ([limit 1]).
 
     [shards] hash-partitions the fact heap by source entity
-    ({!Lsdb_datalog.Shard}); the store's shard count picks the closure's
-    layout ({!Closure.compute}): at one shard each stratum owns a packed
-    index, above one shard the strata read through the store and keep
-    their derived facts in per-shard overlays. Query results are
-    identical at every shard count; enumeration order is not. Default
-    [1] — the classic single heap. *)
+    ({!Lsdb_datalog.Shard}). The closure does not follow the partition:
+    each of its strata owns a packed index of its input at every shard
+    count ({!Closure.compute}). Query results are identical at every
+    shard count; enumeration order is not. Default [1] — the classic
+    single heap. *)
 val create : ?max_facts:int -> ?shards:int -> unit -> t
 
 (** Current shard count of the fact heap ([>= 1]). *)
 val shards : t -> int
 
-(** [set_shards t n] re-partitions the heap in place ([O(heap)]) and
-    drops the closure/demand caches (the next access recomputes them in
-    the new count's layout). Bumps the generation. No-op when [n] equals
-    the current count. *)
+(** [set_shards t n] re-partitions the heap in place ([O(heap)]; [n] is
+    clamped to at least 1). The fact set does not change, so the closure
+    and demand caches stay and the generation is not bumped. No-op when
+    [n] equals the current count. *)
 val set_shards : t -> int -> unit
 
 (** The two axiom facts seeded into every database: [(↔,↔,↔)] and
@@ -250,11 +249,11 @@ val in_degree_hint : t -> Entity.t -> int
 
 (** [intersect_join t h1 h2 emit] — every entity that fills both hinges'
     free position (see {!Lsdb_datalog.Index.hinge}), exactly once each,
-    in unspecified order. On an eager one-shard closure this gallops the
-    closure index's packed frozen postings plus delta cells; sharded and
-    demand modes run a hash semi-join over {!closure_match}, enumerating
-    the smaller hinge (by {!count_hint}) into a set and probing with the
-    larger. Demand mode issues exactly two pattern demands. *)
+    in unspecified order. An eager closure gallops its index's packed
+    frozen postings plus delta cells, at every shard count. Demand mode
+    runs a hash semi-join over {!closure_match}, enumerating the smaller
+    hinge (by {!count_hint}) into a set and probing with the larger, and
+    so issues exactly two pattern demands. *)
 val intersect_join :
   t ->
   Lsdb_datalog.Index.hinge ->
@@ -270,10 +269,6 @@ val intersect_exists :
 (** Frozen/delta posting-tier sizes summed over whatever closure/demand
     caches currently exist (never forces a computation). *)
 val tier_stats : t -> Lsdb_datalog.Index.tier_stats
-
-(** Pending reshard suggestion [(shard, permille, streak)] from the
-    sharded closure's imbalance tracker, if any. *)
-val reshard_hint : t -> (int * int * int) option
 
 (** Entities occurring in some closure fact (the paper's active domain).
     In demand mode this is computed exactly without materializing the

@@ -111,8 +111,7 @@ let active_entities t =
   Int_tbl.to_seq_keys seen
 
 (* Re-partition in place: the handle every reader captured stays valid,
-   only the internal routing changes. O(heap); callers invalidate any
-   structure that depends on iteration order. *)
+   only the internal routing and the iteration order change. O(heap). *)
 let reshard t n =
   let plan = Shard.plan n in
   if Shard.shards plan <> Shard.shards t.plan then begin

@@ -2,11 +2,10 @@ module Governor = Lsdb_exec.Governor
 
 type provenance = { rule : string; premises : Triple.t list }
 
-(* A read-only set of triples: one {!Index.t} for a stratum that owns
-   its input, a base heap plus per-shard derived overlays for one that
-   reads through it ({!Sharded}), the caller's store for the demand
-   evaluator. The join loops below only ever need the three probes, so
-   evaluating over a view costs one closure indirection per probe. *)
+(* A read-only set of triples: one {!Index.t} for a stratum
+   ({!Sharded}), the caller's store for the demand evaluator. The join
+   loops below only ever need the three probes, so evaluating over a view
+   costs one closure indirection per probe. *)
 type view = {
   v_iter : s:int option -> r:int option -> tgt:int option -> (Triple.t -> unit) -> unit;
   v_mem : Triple.t -> bool;
@@ -42,7 +41,7 @@ let atom_pattern binding (atom : Atom.t) =
    [delta] is an {e ordered array} and is iterated outermost, each triple
    tried at every body position — so the emission order depends only on
    the delta order and on [full], never on how the delta happens to be
-   sharded across domains (the parallel rounds rely on exactly this).
+   split across domains (the parallel rounds rely on exactly this).
    Leading with the delta triple also binds variables that make the
    remaining full-index probes selective. [emit binding premises] is
    called for each complete match, premises in body order. *)
@@ -79,12 +78,12 @@ let eval_rule (rule : Rule.t) ~(full : view) ~delta ~emit =
     delta
 
 (* One semi-naive round over a frozen [full]: evaluate every rule against
-   one delta shard, buffering (head, premises) emissions per rule. The
-   index is not mutated here, so shards can run on separate domains; a
+   one delta chunk, buffering (head, premises) emissions per rule. The
+   index is not mutated here, so chunks can run on separate domains; a
    local seen-table bounds the buffers (keeping the first emission in the
-   shard's rule-major stream, which is also the one the deterministic
+   chunk's rule-major stream, which is also the one the deterministic
    barrier merge would keep). *)
-let round_view ?gov rules ~(full : view) shard =
+let round_view ?gov rules ~(full : view) chunk =
   let seen = Triple.Tbl.create 64 in
   let buffers = Array.make (Array.length rules) [] in
   (* Work units accumulate in a lane-local ticker and reach the governor
@@ -94,8 +93,8 @@ let round_view ?gov rules ~(full : view) shard =
   let tk = Governor.ticker gov in
   Array.iteri
     (fun ri (rule : Rule.t) ->
-      Governor.bump tk (Array.length shard);
-      eval_rule rule ~full ~delta:shard ~emit:(fun binding premises ->
+      Governor.bump tk (Array.length chunk);
+      eval_rule rule ~full ~delta:chunk ~emit:(fun binding premises ->
           Governor.bump tk 1;
           List.iter
             (fun head ->
@@ -117,7 +116,7 @@ exception Derivation of provenance
 (* Goal-directed single-fact check: is [fact] derivable in one rule
    application from the facts currently in [full]? Unify each rule head
    with [fact], then join the body over the index exactly as [eval_rule]
-   does. Read-only, so shards of these checks can run on separate
+   does. Read-only, so chunks of these checks can run on separate
    domains. Any derivation found is well-founded: [fact] itself is not in
    [full] when this runs ({!Sharded.retract} dropped it first), so it
    cannot support itself.

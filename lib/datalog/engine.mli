@@ -15,9 +15,8 @@ type provenance = { rule : string; premises : Triple.t list }
 (** A read-only set of triples, and the only record for one: the join
     loops, the strata ({!Sharded}) and the demand evaluator ({!Magic})
     all read facts through it. It is built over one {!Index.t}
-    ({!view_of_index}), over a stratum's base plus its derived overlays
-    ({!Sharded.view}), or over the caller's store. Each probe is one
-    closure call; nothing is copied. *)
+    ({!view_of_index}, which is also {!Sharded.view}) or over the
+    caller's store. Each probe is one closure call; nothing is copied. *)
 type view = {
   v_iter : s:int option -> r:int option -> tgt:int option -> (Triple.t -> unit) -> unit;
       (** [candidates]: every triple compatible with the pattern. *)
@@ -34,13 +33,13 @@ type view = {
 val view_of_index : Index.t -> view
 
 (** [round_view rules ~full delta] — one semi-naive round of every rule
-    against one delta slice, reading [full] as frozen: returns the
+    against one delta chunk, reading [full] as frozen: returns the
     [(head, premises)] emissions buffered per rule (rule order matching
     [rules], emission order deterministic in the delta order),
-    deduplicated against [full] and within the slice. Every emission uses
+    deduplicated against [full] and within the chunk. Every emission uses
     at least one premise from [delta], and the delta is iterated
-    outermost, so splitting a delta into contiguous slices and merging
-    their emissions rule-major then slice-major reproduces the unsplit
+    outermost, so splitting a delta into contiguous chunks and merging
+    their emissions rule-major then chunk-major reproduces the unsplit
     stream. [?gov] is ticked at amortized batches; [Trip] propagates to
     the caller. *)
 val round_view :

@@ -4,11 +4,11 @@
     exactly why a mechanical one works: every fact is routed by a fixed
     avalanche hash of its source entity, so any loosely structured heap
     splits into [n] shards without coordination, and two runs always
-    agree on the owner of a fact. The heap ([Lsdb.Store]) and the
-    closure overlays ({!Sharded}) both route through this module, so
-    their partitions line up. Routing is by interned id, which is stable
-    for the life of a symbol table; on disk the heap is one log and one
-    snapshot, so nothing persistent routes by shard. *)
+    agree on the owner of a fact. The heap ([Lsdb.Store]) routes through
+    this module; the closure does not route by shard. Routing is by
+    interned id, which is stable for the life of a symbol table; on disk
+    the heap is one log and one snapshot, so nothing persistent routes by
+    shard. *)
 
 type plan
 (** An immutable partitioning plan: just the shard count, carried as an

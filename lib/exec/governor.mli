@@ -95,10 +95,10 @@ val count_wave : t option -> unit
 
 val checkpoint_interval : int
 
-(** {1 Batched ticking — shard lanes}
+(** {1 Batched ticking — pool lanes}
 
     Two atomic RMWs per {!tick} cost more than the joins they meter on
-    tight per-emission loops, and with several shard lanes ticking the
+    tight per-emission loops, and with several pool lanes ticking the
     same governor the contention multiplies. A [ticker] accumulates work
     units in a plain local counter and forwards them in batches: each
     lane owns one, so the governor sees one aggregated [tick] per

@@ -2,7 +2,7 @@ module Metrics = Lsdb_obs.Metrics
 
 type t = {
   size : int;
-  mutex : Mutex.t;  (* guards [jobs], [stopped] and [lane_groups] *)
+  mutex : Mutex.t;  (* guards [jobs] and [stopped] *)
   nonempty : Condition.t;
   jobs : (float * (unit -> unit)) Queue.t;
       (* enqueue timestamp (0. when timing is disabled) and the job *)
@@ -11,30 +11,6 @@ type t = {
   escaped : (exn * Printexc.raw_backtrace) option Atomic.t;
       (* first exception a queued job let escape; re-raised on the caller
          path at the next pool operation instead of vanishing *)
-  mutable lane_groups : lanes list;  (* open groups, closed by [shutdown] *)
-}
-
-(* A lane group: [lg_n] persistent lane handles multiplexed over
-   [lg_groups] executors — the caller plus [lg_groups - 1] pool workers,
-   each worker bound to the group for the group's lifetime by a
-   long-running mailbox job. Lane [i] always runs on executor
-   [i mod lg_groups], so a shard lane stays on the same domain from round
-   to round (warm overlay caches); the per-round synchronization is one
-   condition broadcast to start and one completion count at the barrier. *)
-and lanes = {
-  lg_pool : t;
-  lg_n : int;
-  lg_groups : int;  (* executors, caller included; >= 1 *)
-  lg_mutex : Mutex.t;  (* guards the five mutable fields below *)
-  lg_start : Condition.t;
-  lg_done : Condition.t;
-  mutable lg_fn : int -> unit;  (* current round's lane body *)
-  mutable lg_round : int;  (* round generation; bumping it starts a round *)
-  mutable lg_remaining : int;  (* worker groups still running this round *)
-  mutable lg_closed : bool;
-  lg_errors : (exn * Printexc.raw_backtrace) option array;
-      (* per-lane, reset each round; distinct domains write distinct
-         indices, read after the barrier *)
 }
 
 let default_domains () = Domain.recommended_domain_count ()
@@ -72,24 +48,11 @@ let m_queue_wait =
   Metrics.histogram ~help:"Seconds a lane job waited in the queue before pickup"
     "lsdb_pool_queue_wait_seconds"
 
-let m_lane_groups =
-  Metrics.counter ~help:"Persistent lane groups created"
-    "lsdb_pool_lane_groups_total"
-
-let m_lane_rounds =
-  Metrics.counter ~help:"Barrier-separated rounds run through lane groups"
-    "lsdb_pool_lane_rounds_total"
-
-let m_barrier_wait =
-  Metrics.histogram
-    ~help:"Seconds the caller waited at a lane-round barrier for the slowest lane"
-    "lsdb_pool_barrier_wait_seconds"
-
 (* Record the first exception a job lets escape; the next caller-path
-   entry point ([map_array], [lanes_run]) re-raises it. The map/lane
-   wrappers catch their own items' exceptions, so anything landing here
-   is a wrapper invariant violation (or a raw [submit] job) — exactly
-   the class of failure that must not vanish silently: a [Diverged] or
+   entry point ([map_array]) re-raises it. The map wrapper catches its
+   own items' exceptions, so anything landing here is a wrapper
+   invariant violation (or a raw [submit] job) — exactly the class of
+   failure that must not vanish silently: a [Diverged] or
    [Governor.Trip] that escaped its lane would otherwise turn a divergent
    closure into a silently incomplete one. *)
 let note_escape t e =
@@ -142,7 +105,6 @@ let create ~domains =
       stopped = false;
       workers = [];
       escaped = Atomic.make None;
-      lane_groups = [];
     }
   in
   t.workers <- List.init (size - 1) (fun _ -> Domain.spawn (worker_loop t));
@@ -161,150 +123,7 @@ let submit t job =
   Condition.signal t.nonempty;
   Mutex.unlock t.mutex
 
-(* --- persistent lane groups ----------------------------------------- *)
-
-let lane_worker lg g () =
-  let run_lane fn i =
-    try fn i
-    with e -> lg.lg_errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
-  in
-  let rec loop last_round =
-    Mutex.lock lg.lg_mutex;
-    while (not lg.lg_closed) && lg.lg_round = last_round do
-      Condition.wait lg.lg_start lg.lg_mutex
-    done;
-    let closed = lg.lg_closed in
-    let round = lg.lg_round in
-    let fn = lg.lg_fn in
-    Mutex.unlock lg.lg_mutex;
-    if not closed then begin
-      let i = ref g in
-      while !i < lg.lg_n do
-        run_lane fn !i;
-        i := !i + lg.lg_groups
-      done;
-      Mutex.lock lg.lg_mutex;
-      lg.lg_remaining <- lg.lg_remaining - 1;
-      if lg.lg_remaining = 0 then Condition.broadcast lg.lg_done;
-      Mutex.unlock lg.lg_mutex;
-      loop round
-    end
-  in
-  loop 0
-
-let lanes t ~n =
-  if n < 1 then invalid_arg "Pool.lanes: n must be >= 1";
-  Mutex.lock t.mutex;
-  if t.stopped then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Pool.lanes: pool is shut down"
-  end;
-  let groups = max 1 (min t.size n) in
-  let lg =
-    {
-      lg_pool = t;
-      lg_n = n;
-      lg_groups = groups;
-      lg_mutex = Mutex.create ();
-      lg_start = Condition.create ();
-      lg_done = Condition.create ();
-      lg_fn = ignore;
-      lg_round = 0;
-      lg_remaining = 0;
-      lg_closed = false;
-      lg_errors = Array.make n None;
-    }
-  in
-  Metrics.incr m_lane_groups;
-  if groups > 1 then begin
-    t.lane_groups <- lg :: t.lane_groups;
-    for g = 1 to groups - 1 do
-      Queue.push (0., lane_worker lg g) t.jobs
-    done;
-    Condition.broadcast t.nonempty
-  end;
-  Mutex.unlock t.mutex;
-  lg
-
-let lanes_size lg = lg.lg_n
-
-let lanes_run lg f =
-  if lg.lg_closed then invalid_arg "Pool.lanes_run: lane group is closed";
-  reraise_escaped lg.lg_pool;
-  Array.fill lg.lg_errors 0 lg.lg_n None;
-  Metrics.incr m_lane_rounds;
-  let run_lane i =
-    try f i
-    with e -> lg.lg_errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
-  in
-  if lg.lg_groups = 1 then
-    (* Single executor: every lane runs on the caller, in order. All
-       lanes still run even if one fails, matching the multi-group path
-       (which cannot stop stragglers), so failure behavior is identical
-       at every pool size. *)
-    for i = 0 to lg.lg_n - 1 do
-      run_lane i
-    done
-  else begin
-    Mutex.lock lg.lg_mutex;
-    lg.lg_fn <- f;
-    lg.lg_round <- lg.lg_round + 1;
-    lg.lg_remaining <- lg.lg_groups - 1;
-    Condition.broadcast lg.lg_start;
-    Mutex.unlock lg.lg_mutex;
-    (* The caller is executor 0 and always makes progress. *)
-    let i = ref 0 in
-    while !i < lg.lg_n do
-      run_lane !i;
-      i := !i + lg.lg_groups
-    done;
-    let wait_start = if Metrics.enabled () then Metrics.now () else 0. in
-    Mutex.lock lg.lg_mutex;
-    while lg.lg_remaining > 0 do
-      Condition.wait lg.lg_done lg.lg_mutex
-    done;
-    Mutex.unlock lg.lg_mutex;
-    if wait_start > 0. then
-      Metrics.observe m_barrier_wait (Metrics.now () -. wait_start)
-  end;
-  (* Deterministic failure propagation, as in [map_array]: the
-     lowest-indexed failing lane's exception is the one the caller
-     sees. [Governor.Trip] and [Diverged]-class exceptions raised on
-     worker domains reach the caller path here. *)
-  Array.iter
-    (function
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
-    lg.lg_errors
-
-let lanes_close lg =
-  if not lg.lg_closed then begin
-    Mutex.lock lg.lg_mutex;
-    lg.lg_closed <- true;
-    Condition.broadcast lg.lg_start;
-    Mutex.unlock lg.lg_mutex;
-    if lg.lg_groups > 1 then begin
-      Mutex.lock lg.lg_pool.mutex;
-      lg.lg_pool.lane_groups <-
-        List.filter (fun l -> l != lg) lg.lg_pool.lane_groups;
-      Mutex.unlock lg.lg_pool.mutex
-    end
-  end
-
 let shutdown t =
-  Mutex.lock t.mutex;
-  let groups = t.lane_groups in
-  t.lane_groups <- [];
-  Mutex.unlock t.mutex;
-  (* Release any worker still bound to an unclosed lane group, or the
-     join below would wait forever on a domain blocked at [lg_start]. *)
-  List.iter
-    (fun lg ->
-      Mutex.lock lg.lg_mutex;
-      lg.lg_closed <- true;
-      Condition.broadcast lg.lg_start;
-      Mutex.unlock lg.lg_mutex)
-    groups;
   Mutex.lock t.mutex;
   let workers = t.workers in
   t.stopped <- true;

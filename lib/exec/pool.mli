@@ -44,60 +44,15 @@ val fold : t -> f:('a -> 'b) -> combine:('acc -> 'b -> 'acc) -> init:'acc -> 'a 
     (run inline by the next pool operation's caller lane only if no
     worker exists). Unlike {!map}, there is no completion handle. If
     [job] raises, the exception is counted in
-    [lsdb_pool_job_exceptions_total] and parked; the next {!map},
-    {!map_array} or {!lanes_run} call on this pool re-raises it in the
-    caller — escaped exceptions (e.g. [Governor.Trip]-class) are never
-    silently dropped.
+    [lsdb_pool_job_exceptions_total] and parked; the next {!map} or
+    {!map_array} call on this pool re-raises it in the caller — escaped
+    exceptions (e.g. [Governor.Trip]-class) are never silently dropped.
 
     Raises [Invalid_argument] if the pool has been shut down. *)
 val submit : t -> (unit -> unit) -> unit
 
-(** {2 Persistent lanes}
-
-    A {!lanes} group binds [min (size pool) n] executors — the caller
-    plus up to [size pool - 1] worker domains — to [n] persistent lane
-    indices for many barrier-separated rounds. Lane [i] always runs on
-    executor [i mod groups], so a per-shard lane keeps shard affinity
-    (warm caches) from round to round; when [n] exceeds the pool size,
-    lanes multiplex onto the available executors. Compared with calling
-    {!map_array} per round, a group pays the enqueue/wake cost once at
-    creation instead of every round.
-
-    Usage discipline: a group occupies its workers for its whole
-    lifetime, so create it, run rounds, and {!lanes_close} it within one
-    bounded scope (e.g. [Fun.protect]); do not keep two groups of the
-    same pool open at once, or run {!map} on the pool while a group is
-    open — those workers are busy and the caller lane would do all the
-    work. *)
-
-type lanes
-
-(** [lanes pool ~n] creates a persistent group of [n] lanes.
-    Raises [Invalid_argument] if [n < 1] or the pool is shut down. *)
-val lanes : t -> n:int -> lanes
-
-(** Number of lanes in the group. *)
-val lanes_size : lanes -> int
-
-(** [lanes_run g f] runs one round: [f i] executes for every lane
-    [i < lanes_size g], in parallel across the group's executors, and
-    returns once all lanes finish (the round barrier). The caller domain
-    is executor 0 and always makes progress. As with {!map}, if lanes
-    raise, all lanes still run and the {e lowest-indexed} failing lane's
-    exception is re-raised in the caller with its backtrace —
-    deterministic failure propagation, including [Governor.Trip] raised
-    from a worker-domain checkpoint.
-
-    Raises [Invalid_argument] if the group is closed. *)
-val lanes_run : lanes -> (int -> unit) -> unit
-
-(** Release the group's workers back to the pool. Idempotent. Must not
-    race with a {!lanes_run} in progress. *)
-val lanes_close : lanes -> unit
-
-(** Stop the workers and join them. Idempotent. Closes any lane groups
-    still open (so a leaked group cannot deadlock the join). Outstanding
-    operations must have completed; subsequent {!map}/{!fold} calls raise
+(** Stop the workers and join them. Idempotent. Outstanding operations
+    must have completed; subsequent {!map}/{!fold} calls raise
     [Invalid_argument]. *)
 val shutdown : t -> unit
 

@@ -186,10 +186,6 @@ let obs_stats_text db =
       Printf.sprintf "retraction cones: %d facts over-deleted, %d restored"
         (c "lsdb_engine_retract_cone_facts_total")
         (c "lsdb_engine_restored_facts_total");
-      Printf.sprintf "sharded: %d cross-shard exchanged; imbalance %d‰"
-        (c "lsdb_sharded_exchanged_total")
-        (Metrics.gauge_value
-           (Metrics.gauge "lsdb_sharded_imbalance_permille"));
       Printf.sprintf
         "demand: %d goals (%d memo hits / %d misses), %d magic patterns, %d \
          cone facts derived"
@@ -238,14 +234,6 @@ let obs_stats_text db =
          "index tiers (this db): frozen %d live / %d dead, delta %d live / \
           %d dead, %d freezes"
          frozen_live frozen_dead delta_live delta_dead freezes);
-      (match Database.reshard_hint db with
-      | Some (shard, permille, streak) ->
-          Printf.sprintf
-            "reshard hint: shard %d held %d‰ of derived facts for %d \
-             fixpoints — consider .shards %d to split it"
-            shard permille streak
-            (2 * Database.shards db)
-      | None -> "reshard hint: none (derived facts balanced)");
       Printf.sprintf
         "answer cache (this db): %d hits / %d misses, %d entries, %d evicted"
         hits misses size evictions;
@@ -485,7 +473,7 @@ and dispatch t out words =
           match int_of_string_opt n with
           | Some n when n >= 1 ->
               Database.set_shards db n;
-              say "shards = %d (heap re-partitioned, caches dropped)" n
+              say "shards = %d (heap re-partitioned)" n
           | _ -> say ".shards needs a positive shard count")
       | ".shards", _ -> say ".shards takes one argument: N"
       | ".deadline", [] -> (

@@ -47,7 +47,8 @@ let generate ?(params = default_params) rng =
      partition balances; at skew ≈ 1 a handful of hot sources own a
      large slice of the facts, and whole hot keys land on single shards
      (hash partitioning splits keys, never a key's postings) — the
-     imbalance the B20 gauge and the partitioner tests exercise. *)
+     imbalance the partitioner tests and the store's shard cardinals
+     exercise. *)
   let source_zipf = Zipf.create ~n:params.entities ~s:params.skew in
   let rel_names = Array.init params.relationships rel_name in
   for _ = 1 to params.facts do

@@ -4,9 +4,8 @@
     class taxonomy with a sprinkling of memberships.
 
     Derivation is deliberately light (only the memberships generalize):
-    closure cost on this workload is dominated by how the engine reads
-    the base facts, which is what separates the read-through layout
-    (more than one shard) from the copying one-shard layout. The skew
+    closure cost on this workload is dominated by how the engine loads
+    and reads the base facts, not by what the rules derive. The skew
     knob controls partition balance: hash partitioning spreads distinct
     keys evenly but never splits one key's postings, so hot sources
     concentrate whole posting lists on single shards. *)

@@ -2,7 +2,7 @@
    from-scratch semi-naive fixpoint over one index, with no pool, governor,
    sharding or incremental maintenance. It shares only the rule kernel
    ({!Lsdb_datalog.Engine.round_view}) with the engine, and mirrors the
-   engine's one-shard layout round for round, so at one shard the two
+   engine's stratum round for round, so over a one-shard store the two
    agree byte for byte: derivation order, provenance, rounds. *)
 
 open Lsdb_datalog

@@ -72,70 +72,70 @@ let pool_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Persistent lanes and escaped-exception accounting                   *)
+(* Chunked closure rounds and escaped-exception accounting             *)
 
-let lanes_tests =
+(* A stratum whose first round's delta is exactly [width] facts:
+   [width - 4] leaves under four hubs, the hubs under one top, so the
+   first round derives each leaf's edge to the top and the second finds
+   nothing new. A pooled round splits its delta into contiguous chunks of
+   at least 32 facts, so the pool fans out exactly when the delta is
+   wider than 32; either way the derivations, rounds and provenance come
+   out as on the caller alone. *)
+let check_chunked_round width =
+  let open Lsdb_datalog in
+  let module Metrics = Lsdb_obs.Metrics in
+  let edge = 7 in
+  let rule =
+    Rule.make ~name:"trans"
+      ~body:
+        [
+          Atom.make (Term.Var 0) (Term.Const edge) (Term.Var 1);
+          Atom.make (Term.Var 1) (Term.Const edge) (Term.Var 2);
+        ]
+      ~heads:[ Atom.make (Term.Var 0) (Term.Const edge) (Term.Var 2) ]
+      ()
+  in
+  let base =
+    List.init (width - 4) (fun i -> Triple.make (100 + i) edge (10 + (i mod 4)))
+    @ List.init 4 (fun j -> Triple.make (10 + j) edge 1)
+  in
+  let reference, reference_derived = stratum [ rule ] base in
+  Alcotest.(check int) "every leaf reaches the top" (width - 4)
+    (List.length reference_derived);
+  let maps =
+    Metrics.counter ~help:"Parallel fan-outs executed" "lsdb_pool_maps_total"
+  in
+  List.iter
+    (fun domains ->
+      with_pool ~domains (fun pool ->
+          let what fmt = Printf.sprintf ("%d domains: " ^^ fmt) domains in
+          let before = Metrics.counter_value maps in
+          let parallel, parallel_derived = stratum ~pool [ rule ] base in
+          Alcotest.(check bool) (what "fans out iff wider than 32 facts")
+            (width > 32)
+            (Metrics.counter_value maps > before);
+          Alcotest.(check int) (what "rounds") (Sharded.rounds reference)
+            (Sharded.rounds parallel);
+          Alcotest.(check bool) (what "derived in the inline order") true
+            (List.equal Triple.equal reference_derived parallel_derived);
+          List.iter
+            (fun triple ->
+              Alcotest.(check bool) (what "same provenance") true
+                (Sharded.provenance reference triple
+                = Sharded.provenance parallel triple))
+            reference_derived))
+    [ 2; 4 ]
+
+let chunk_tests =
   [
-    test "lanes run every index each round, any n vs pool size" (fun () ->
-        List.iter
-          (fun domains ->
-            with_pool ~domains (fun pool ->
-                List.iter
-                  (fun n ->
-                    let lg = Pool.lanes pool ~n in
-                    Fun.protect ~finally:(fun () -> Pool.lanes_close lg)
-                    @@ fun () ->
-                    Alcotest.(check int) "lanes_size" n (Pool.lanes_size lg);
-                    let out = Array.make n 0 in
-                    for round = 1 to 5 do
-                      Pool.lanes_run lg (fun i -> out.(i) <- out.(i) + i + round)
-                    done;
-                    Array.iteri
-                      (fun i got ->
-                        Alcotest.(check int)
-                          (Printf.sprintf "lane %d ran all 5 rounds" i)
-                          ((5 * i) + 15)
-                          got)
-                      out)
-                  [ 1; 2; 3; 8 ]))
-          [ 1; 2; 4 ]);
-    test "lanes_run re-raises the lowest failing lane" (fun () ->
-        with_pool ~domains:3 (fun pool ->
-            let lg = Pool.lanes pool ~n:8 in
-            Fun.protect ~finally:(fun () -> Pool.lanes_close lg)
-            @@ fun () ->
-            let ran = Array.make 8 false in
-            (match
-               Pool.lanes_run lg (fun i ->
-                   ran.(i) <- true;
-                   if i mod 3 = 2 then failwith (string_of_int i))
-             with
-            | () -> Alcotest.fail "expected Failure"
-            | exception Failure msg ->
-                (* Lanes 2, 5 fail; lane 2 wins deterministically. *)
-                Alcotest.(check string) "lane 2's exception" "2" msg);
-            Alcotest.(check bool) "all lanes still ran" true
-              (Array.for_all Fun.id ran);
-            (* The group survives a failing round. *)
-            Pool.lanes_run lg (fun _ -> ())));
-    test "closed lanes refuse to run; close is idempotent" (fun () ->
-        with_pool ~domains:2 (fun pool ->
-            let lg = Pool.lanes pool ~n:4 in
-            Pool.lanes_run lg ignore;
-            Pool.lanes_close lg;
-            Pool.lanes_close lg;
-            (match Pool.lanes_run lg ignore with
-            | () -> Alcotest.fail "expected Invalid_argument"
-            | exception Invalid_argument _ -> ());
-            (* The pool is still fully usable afterwards. *)
-            Alcotest.(check (list int)) "map after close" [ 1; 4; 9 ]
-              (Pool.map pool (fun x -> x * x) [ 1; 2; 3 ])));
-    test "shutdown closes a leaked lane group without deadlock" (fun () ->
-        let pool = Pool.create ~domains:3 in
-        let lg = Pool.lanes pool ~n:4 in
-        Pool.lanes_run lg ignore;
-        (* No lanes_close: shutdown must release the bound workers. *)
-        Pool.shutdown pool);
+    test "a 31-fact round stays on the caller, in the inline order" (fun () ->
+        check_chunked_round 31);
+    test "a 32-fact round is one chunk, in the inline order" (fun () ->
+        check_chunked_round 32);
+    test "a 33-fact round fans out in two chunks, in the inline order" (fun () ->
+        check_chunked_round 33);
+    test "a 1,000-fact round fans out across the pool, in the inline order"
+      (fun () -> check_chunked_round 1_000);
     test "submitted job exceptions are counted and re-raised" (fun () ->
         let module Metrics = Lsdb_obs.Metrics in
         let m =
@@ -334,4 +334,4 @@ let closure_tests =
               reference (extend db)));
   ]
 
-let tests = pool_tests @ lanes_tests @ probing_tests @ closure_tests
+let tests = pool_tests @ chunk_tests @ probing_tests @ closure_tests

@@ -1,7 +1,7 @@
 (* Sharded fact heaps: the hash partitioner, the sharded store and the
-   sharded closure. The master contract throughout: query results are
+   closure over it. The master contract throughout: query results are
    content-identical at every shard count — the oracle is always the
-   1-shard layout. *)
+   1-shard heap. *)
 
 open Lsdb
 open Testutil
@@ -205,13 +205,25 @@ let tests =
         Store.clear st;
         check_view "after clear";
         Alcotest.(check int) "empty" 0 (v.v_cardinal ()));
-    (* --- closure dispatch ------------------------------------------ *)
-    test "closure: dispatcher picks the layout the store has" (fun () ->
-        let oracle = Paper_examples.organization () in
-        Alcotest.(check int) "single-heap" 1
-          (Closure.shards (Database.closure oracle));
-        let db = org_at_shards 4 in
-        Alcotest.(check int) "sharded" 4 (Closure.shards (Database.closure db)));
+    (* --- the closure over a sharded store ---------------------------- *)
+    test "closure: tier stats, rounds and derived count are equal at 1 and 4 shards"
+      (fun () ->
+        (* Every stratum copies its input into one index whatever the
+           store's shard count, so the closure's own indexes hold the same
+           facts in the same tiers at every count. *)
+        let c1 = Database.closure (Paper_examples.organization ()) in
+        let c4 = Database.closure (org_at_shards 4) in
+        Alcotest.(check bool) "tier stats" true
+          (Closure.tier_stats c1 = Closure.tier_stats c4);
+        let live (ts : Lsdb_datalog.Index.tier_stats) =
+          ts.frozen_live + ts.delta_live
+        in
+        (* The main stratum's index alone holds the whole closure. *)
+        Alcotest.(check bool) "the tiers hold the whole closure" true
+          (live (Closure.tier_stats c4) >= Closure.cardinal c4);
+        Alcotest.(check int) "rounds" (Closure.rounds c1) (Closure.rounds c4);
+        Alcotest.(check int) "derived count" (Closure.derived_count c1)
+          (Closure.derived_count c4));
     test "closure: identical at 2, 4 and 8 shards" (fun () ->
         let oracle = Paper_examples.organization () in
         List.iter
@@ -254,8 +266,8 @@ let tests =
           [ 2; 8 ]);
     test "closure: demotion — asserting a derived fact as base" (fun () ->
         (* (A isa C) is derived from the chain; asserting it as base must
-           demote it in both layouts, and retracting the chain must keep
-           it alive as base. *)
+           demote it at both shard counts, and retracting the chain must
+           keep it alive as base. *)
         let run shards =
           let db = Database.create ~shards () in
           ignore (Database.insert_names db "A" "isa" "B");
@@ -323,21 +335,31 @@ let tests =
              (Store.pattern ~r:(Database.entity oracle "isa") ()))
           (Closure.count_pattern cs
              (Store.pattern ~r:(Database.entity db "isa") ())));
-    test "closure: shard introspection" (fun () ->
-        let db = org_at_shards 4 in
-        let c = Database.closure db in
-        Alcotest.(check int) "overlay_cardinals has one slot per shard" 4
-          (Array.length (Closure.overlay_cardinals c));
-        Alcotest.(check int) "overlays hold exactly the derived facts"
-          (Closure.derived_count c)
-          (Array.fold_left ( + ) 0 (Closure.overlay_cardinals c));
-        Alcotest.(check bool) "exchange counter is sane" true
-          (Closure.exchanged c >= 0);
-        let single = Database.closure (Paper_examples.organization ()) in
-        Alcotest.(check int) "single-heap reports one shard" 1
-          (Closure.shards single);
-        Alcotest.(check int) "single-heap exchanges nothing" 0
-          (Closure.exchanged single));
+    test "closure: an extension keeps tier stats, rounds and derived count equal at 1 and 8 shards"
+      (fun () ->
+        (* An extension copies the new base facts into the stage's index
+           and derives into the strata's own indexes at every shard
+           count, so both closures grow the same tiers. *)
+        let grow db =
+          ignore (Database.closure db);
+          for i = 0 to 39 do
+            ignore
+              (Database.insert_names db (Printf.sprintf "HIRE-%02d" i) "in" "EMPLOYEE")
+          done;
+          ignore (Database.insert_names db "EMPLOYEE" "isa" "AGENT");
+          let c = Database.closure db in
+          Alcotest.(check int) "computed once, then extended" 1
+            (Database.closure_computations db);
+          c
+        in
+        let c1 = grow (Paper_examples.organization ()) in
+        let c8 = grow (org_at_shards 8) in
+        Alcotest.(check bool) "tier stats" true
+          (Closure.tier_stats c1 = Closure.tier_stats c8);
+        Alcotest.(check int) "rounds" (Closure.rounds c1) (Closure.rounds c8);
+        Alcotest.(check int) "derived count" (Closure.derived_count c1)
+          (Closure.derived_count c8);
+        Alcotest.(check int) "cardinal" (Closure.cardinal c1) (Closure.cardinal c8));
     test "closure: governor trip yields a sound subset, sharded" (fun () ->
         let full = closure_facts (Paper_examples.organization ()) in
         let db = org_at_shards 8 in
@@ -375,14 +397,14 @@ let tests =
             ignore (Database.insert_names db "ALICE" "in" "EMPLOYEE");
             ignore (Database.insert_names oracle "ALICE" "in" "EMPLOYEE");
             check_same_closure "pooled sharded extension" oracle db));
-    (* --- multi-domain lanes ----------------------------------------- *)
-    test "closure: lanes keep identity over the shards × domains grid"
+    (* --- multi-domain pools ----------------------------------------- *)
+    test "closure: the pool keeps identity over the shards × domains grid"
       (fun () ->
-        (* The Zipf workload makes every round's delta wide enough that
-           the lane fan-out actually engages; the contract under test is
-           the tentpole's: content-identical to the single-heap oracle at
-           every (shards × domains) point, and byte-identical derivation
-           order across domains for a fixed shard count. *)
+        (* The Zipf workload makes rounds wide enough that the chunked
+           fan-out engages; the contract under test: content-identical to
+           the single-heap oracle at every (shards × domains) point, and
+           byte-identical derivation order across domains for a fixed
+           shard count. *)
         let params =
           {
             Lsdb_workload.Shard_gen.default_params with
@@ -405,11 +427,6 @@ let tests =
         let oracle = Lsdb_workload.Shard_gen.to_database gen in
         ignore (Database.closure oracle);
         mutate oracle;
-        let lane_rounds =
-          Lsdb_obs.Metrics.counter
-            ~help:"Closure rounds fanned out to persistent per-shard lanes"
-            "lsdb_sharded_lane_rounds_total"
-        in
         List.iter
           (fun shards ->
             let order = ref None in
@@ -423,7 +440,6 @@ let tests =
                     Lsdb_exec.Pool.shutdown pool)
                   (fun () ->
                     Database.set_pool db (Some pool);
-                    let before = Lsdb_obs.Metrics.counter_value lane_rounds in
                     ignore (Database.closure db);
                     mutate db;
                     let what =
@@ -433,21 +449,16 @@ let tests =
                     let got =
                       Closure.derived (Database.closure db)
                     in
-                    (match !order with
+                    match !order with
                     | None -> order := Some got
                     | Some reference ->
                         Alcotest.(check bool)
                           (what ^ ": derivation order byte-identical")
                           true
-                          (List.equal Fact.equal reference got));
-                    if shards > 1 && domains > 1 then
-                      Alcotest.(check bool)
-                        (what ^ ": lane rounds actually ran")
-                        true
-                        (Lsdb_obs.Metrics.counter_value lane_rounds > before)))
+                          (List.equal Fact.equal reference got)))
               [ 1; 2; 4 ])
           [ 2; 8 ]);
-    test "closure: governor trip stays a sound subset under lanes" (fun () ->
+    test "closure: governor trip stays a sound subset under the pool" (fun () ->
         let params =
           {
             Lsdb_workload.Shard_gen.default_params with
@@ -547,19 +558,22 @@ let tests =
               (Closure.base_cardinal c))
           [ 1; 4 ]);
     (* --- database and federation plumbing -------------------------- *)
-    test "database: set_shards re-partitions and invalidates" (fun () ->
+    test "database: set_shards re-partitions and keeps the caches" (fun () ->
+        (* The fact set does not change, and no cache depends on the
+           shard count: the closure stays, the generation too. *)
         let db = Paper_examples.organization () in
-        ignore (Database.closure db);
+        let c = Database.closure db in
         let g0 = Database.generation db in
         Database.set_shards db 4;
         Alcotest.(check int) "shards" 4 (Database.shards db);
-        Alcotest.(check bool) "generation bumped" true
-          (Database.generation db > g0);
-        let g1 = Database.generation db in
+        Alcotest.(check bool) "same closure" true (Database.closure db == c);
+        Alcotest.(check int) "generation kept" g0 (Database.generation db);
         Database.set_shards db 4;
-        Alcotest.(check int) "restating is a no-op" g1 (Database.generation db);
+        Alcotest.(check int) "restating is a no-op" g0 (Database.generation db);
         Database.set_shards db 0;
-        Alcotest.(check int) "clamped to one shard" 1 (Database.shards db));
+        Alcotest.(check int) "clamped to one shard" 1 (Database.shards db);
+        Alcotest.(check bool) "still the same closure" true
+          (Database.closure db == c));
     test "database: copy carries the shard count" (fun () ->
         let db = Database.create ~shards:4 () in
         ignore (Database.insert_names db "A" "isa" "B");
@@ -586,7 +600,7 @@ let tests =
         check_holds (Federation.database f) "cross-member inference"
           ("JOHN", "in", "PERSON"));
     (* --- read views and the on-disk heap --------------------------- *)
-    test "sharded view: input and overlays answer like one index" (fun () ->
+    test "sharded store: a stratum over it answers like one index" (fun () ->
         let open Lsdb_datalog in
         let edge = 3 in
         let rule =
@@ -599,15 +613,15 @@ let tests =
             ~heads:[ Atom.make (Term.Var 0) (Term.Const edge) (Term.Var 2) ]
             ()
         in
-        (* The store stays reachable from the stratum: above one shard the
-           stratum reads its input through the store's view. *)
+        (* The stratum loads its input through the store's view, which
+           enumerates shard-major above one shard. *)
         let closed shards =
           let store = Store.create ~shards () in
           for i = 0 to 39 do
             ignore (Store.add store (Fact.make (i mod 13) edge ((i * 7) mod 17)));
             ignore (Store.add store (Fact.make i 1 (i + 1)))
           done;
-          let s = Sharded.create ~plan:(Shard.plan shards) (Store.view store) in
+          let s = Sharded.create (Store.view store) in
           ignore (Sharded.closure [ rule ] s : Triple.t list);
           Sharded.view s
         in
@@ -744,7 +758,7 @@ let tests =
           (Store.active_entities store);
         Alcotest.(check bool) "hot key exists" true
           (!busiest > 3 * (3_000 / 500)));
-    (* --- one engine, two layouts ------------------------------------ *)
+    (* --- one engine, one layout ------------------------------------- *)
     test "closure: one shard is byte-identical to the from-scratch oracle"
       (fun () ->
         let org n () =

@@ -64,14 +64,14 @@ let with_policy p f =
   Index.set_policy p;
   Fun.protect ~finally:(fun () -> Index.set_policy saved) f
 
-(* The engine itself, one stratum at one shard, closing [facts] under
-   [rules]: the layout that copies its input into its own index. *)
+(* The engine itself, one stratum closing [facts] under [rules]: it
+   copies its input into its own index. *)
 let stratum ?max_facts ?pool ?gov rules facts =
   let module D = Lsdb_datalog in
   let input = D.Index.create () in
   List.iter (fun f -> ignore (D.Index.add input f : bool)) facts;
   let s =
-    D.Sharded.create ?max_facts ~plan:(D.Shard.plan 1)
+    D.Sharded.create ?max_facts
       { (D.Engine.view_of_index input) with v_seq = (fun () -> List.to_seq facts) }
   in
   let derived = D.Sharded.closure ?pool ?gov rules s in

@@ -14,8 +14,8 @@
    integrity scan of a copy of the database taken just before it.
 
    The domains axis runs to 8 — past the machine's core count on most
-   runners, so lanes multiplex over fewer executors than shards — and
-   every multi-domain cell exercises the persistent per-shard lane
+   runners, so the pool multiplexes its chunks over fewer cores than
+   domains — and every multi-domain cell exercises the chunked pool
    fan-out (closure, extension and DRed retraction all route through
    it).
 
