@@ -1,17 +1,17 @@
 module D = Lsdb_datalog
 
-exception Diverged = D.Sharded.Diverged
+exception Diverged = D.Stratum.Diverged
 
 (* Two strata over the store: the inversion stage, then the main rules,
    whose input is everything the stage holds — so stage consequences are
    input facts to the main rules, with their provenance kept in the stage.
-   Each stratum owns a packed copy of its input ({!D.Sharded}). *)
+   Each stratum owns a packed copy of its input ({!D.Stratum}). *)
 type t = {
   store : Store.t;
-  stage : D.Sharded.t option;
+  stage : D.Stratum.t option;
       (* [None] when computed without staged rules, or when a governor
          trip inside the stage made it the (partial) closure itself *)
-  main : D.Sharded.t;
+  main : D.Stratum.t;
   view : D.Engine.view;  (* the main stratum's index, i.e. the whole closure *)
   mutable staged_rules : D.Rule.t list;
   mutable rules : D.Rule.t list;
@@ -29,14 +29,14 @@ type t = {
 let strata t = match t.stage with Some stage -> [ stage; t.main ] | None -> [ t.main ]
 let sum f t = List.fold_left (fun n s -> n + f s) 0 (strata t)
 let is_derived t fact =
-  D.Sharded.is_derived t.main fact
-  || match t.stage with Some stage -> D.Sharded.is_derived stage fact | None -> false
+  D.Stratum.is_derived t.main fact
+  || match t.stage with Some stage -> D.Stratum.is_derived stage fact | None -> false
 
 let compute ?(max_facts = 2_000_000) ?pool ?gov ?(staged_rules = []) ~rules
     store =
   let stratum rules base =
-    let s = D.Sharded.create ~max_facts base in
-    (s, D.Sharded.closure ?pool ?gov rules s)
+    let s = D.Stratum.create ~max_facts base in
+    (s, D.Stratum.closure ?pool ?gov rules s)
   in
   let stage, main, derived =
     match staged_rules with
@@ -57,14 +57,14 @@ let compute ?(max_facts = 2_000_000) ?pool ?gov ?(staged_rules = []) ~rules
              recorded provenance, not the rule list. *)
           (None, stage, stage_derived)
         else
-          let main, main_derived = stratum rules (D.Sharded.view stage) in
+          let main, main_derived = stratum rules (D.Stratum.view stage) in
           (Some stage, main, stage_derived @ main_derived)
   in
   {
     store;
     stage;
     main;
-    view = D.Sharded.view main;
+    view = D.Stratum.view main;
     staged_rules;
     rules;
     actives = None;
@@ -88,7 +88,7 @@ let refilter_derived t =
    so a retraction's bookkeeping cost is proportional to what it deleted,
    not to the closure's total derived count. *)
 let compact_derived t =
-  if t.derived_listed > (2 * sum D.Sharded.derived_count t) + 1024 then
+  if t.derived_listed > (2 * sum D.Stratum.derived_count t) + 1024 then
     refilter_derived t
 
 let push_derived t facts =
@@ -105,7 +105,7 @@ let note_active table (triple : D.Triple.t) =
 let extend ?pool ?gov t facts =
   let staged =
     match t.stage with
-    | Some stage -> D.Sharded.extend ?pool ?gov t.staged_rules stage facts
+    | Some stage -> D.Stratum.extend ?pool ?gov t.staged_rules stage facts
     | None -> facts
   in
   (* [added] lists what the main stratum did not see before: stage
@@ -113,7 +113,7 @@ let extend ?pool ?gov t facts =
      main stratum had derived and the stage now derives changes owner; it
      is not in [added] and its older listing stays live through the
      stage's provenance. *)
-  let added = D.Sharded.extend ?pool ?gov t.rules t.main staged in
+  let added = D.Stratum.extend ?pool ?gov t.rules t.main staged in
   push_derived t (List.filter (is_derived t) added);
   compact_derived t;
   (* Extension only adds facts, so the active-entity table grows by the
@@ -127,10 +127,10 @@ let extend ?pool ?gov t facts =
 let retract ?pool ?gov t facts =
   let gone =
     match t.stage with
-    | Some stage -> D.Sharded.retract ?pool ?gov t.staged_rules stage facts
+    | Some stage -> D.Stratum.retract ?pool ?gov t.staged_rules stage facts
     | None -> facts
   in
-  ignore (D.Sharded.retract ?pool ?gov t.rules t.main gone : D.Triple.t list);
+  ignore (D.Stratum.retract ?pool ?gov t.rules t.main gone : D.Triple.t list);
   t.actives <- None;
   compact_derived t;
   (* Retracted base facts that survived rederivation are derived now and
@@ -138,7 +138,7 @@ let retract ?pool ?gov t facts =
   push_derived t (List.filter (is_derived t) facts);
   t
 
-let support_size t = sum D.Sharded.support_size t
+let support_size t = sum D.Stratum.support_size t
 
 (* Rule-set swap for the cheap rule-toggle paths: the caller has
    established (via {!rule_counts} / {!closed_under}) that the closure's
@@ -148,9 +148,9 @@ let set_rules t ~staged_rules ~rules =
   t.staged_rules <- staged_rules;
   t.rules <- rules
 
-let closed_under t rules = D.Sharded.closed_under rules t.main
+let closed_under t rules = D.Stratum.closed_under rules t.main
 let mem t fact = t.view.v_mem fact
-let cardinal t = D.Sharded.cardinal t.main
+let cardinal t = D.Stratum.cardinal t.main
 
 (* Read from the store, not a shadow counter: an [extend] handed a
    duplicate or a [retract] handed a non-member would drift a counter
@@ -160,17 +160,17 @@ let base_cardinal t = Store.cardinal t.store
 let derived t =
   List.concat_map (List.filter (is_derived t)) (List.rev t.derived_segments)
 
-let derived_count t = sum D.Sharded.derived_count t
+let derived_count t = sum D.Stratum.derived_count t
 
 let provenance t fact =
   List.find_map
     (fun s ->
       Option.map
         (fun { D.Engine.rule; premises } -> (rule, premises))
-        (D.Sharded.provenance s fact))
+        (D.Stratum.provenance s fact))
     (List.rev (strata t))
 
-let rounds t = sum D.Sharded.rounds t
+let rounds t = sum D.Stratum.rounds t
 
 let rule_counts t =
   let counts = Hashtbl.create 16 in
@@ -178,7 +178,7 @@ let rule_counts t =
     Hashtbl.replace counts rule
       (1 + Option.value ~default:0 (Hashtbl.find_opt counts rule))
   in
-  List.iter (D.Sharded.iter_provenance tally) (strata t);
+  List.iter (D.Stratum.iter_provenance tally) (strata t);
   Hashtbl.fold (fun rule n acc -> (rule, n) :: acc) counts []
   |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
 
@@ -230,7 +230,7 @@ let active_entities t = Hashtbl.to_seq_keys (force_actives t)
 
 let tier_stats t =
   List.fold_left
-    (fun acc s -> D.Index.sum_stats acc (D.Sharded.tier_stats s))
+    (fun acc s -> D.Index.sum_stats acc (D.Stratum.tier_stats s))
     D.Index.zero_stats (strata t)
 
-let intersect t h1 h2 emit = D.Sharded.intersect t.main h1 h2 emit
+let intersect t h1 h2 emit = D.Stratum.intersect t.main h1 h2 emit

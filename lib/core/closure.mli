@@ -24,7 +24,7 @@ exception Diverged of int
     unsoundness in the rules as printed that only shows up when they are
     actually executed (see DESIGN.md).
 
-    Both strata are {!Lsdb_datalog.Sharded} evaluations. Each bulk-loads
+    Both strata are {!Lsdb_datalog.Stratum} evaluations. Each bulk-loads
     its input (the stage: the store; the main stratum: the stage's index)
     into its own packed index and derives into it, so every read hits one
     index, whatever the store's shard count ({!Store.shards}). Content is
@@ -60,7 +60,7 @@ val compute :
     With [?gov] (here and in {!compute}/{!retract}), the engine
     checkpoints the governor; on a trip the closure holds a consistent
     subset of the true fixpoint and must not be reused as if complete
-    (see {!Lsdb_datalog.Sharded}). *)
+    (see {!Lsdb_datalog.Stratum}). *)
 val extend :
   ?pool:Lsdb_exec.Pool.t ->
   ?gov:Lsdb_exec.Governor.t ->
@@ -70,7 +70,7 @@ val extend :
 
 (** [retract closure facts] incrementally maintains the closure under
     deletion of base [facts] (already removed from the store), via
-    delete/rederive ({!Lsdb_datalog.Sharded.retract}) run per stratum:
+    delete/rederive ({!Lsdb_datalog.Stratum.retract}) run per stratum:
     the stage stratum is retracted first and the facts it loses become
     the deletions of the main stratum. The resulting fact set (and which
     facts count as derived) is identical to a from-scratch {!compute}

@@ -1,6 +1,6 @@
 (** The recorded derivations of a set of derived facts, and the support
     index that inverts them — the one copy behind delete/rederive in both
-    evaluators ({!Sharded} and {!Magic}).
+    evaluators ({!Stratum} and {!Magic}).
 
     Each derived fact keeps one derivation (rule and premises). The
     support index maps each premise to the facts whose recorded

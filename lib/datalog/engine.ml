@@ -3,7 +3,7 @@ module Governor = Lsdb_exec.Governor
 type provenance = { rule : string; premises : Triple.t list }
 
 (* A read-only set of triples: one {!Index.t} for a stratum
-   ({!Sharded}), the caller's store for the demand evaluator. The join
+   ({!Stratum}), the caller's store for the demand evaluator. The join
    loops below only ever need the three probes, so evaluating over a view
    costs one closure indirection per probe. *)
 type view = {
@@ -118,7 +118,7 @@ exception Derivation of provenance
    with [fact], then join the body over the index exactly as [eval_rule]
    does. Read-only, so chunks of these checks can run on separate
    domains. Any derivation found is well-founded: [fact] itself is not in
-   [full] when this runs ({!Sharded.retract} dropped it first), so it
+   [full] when this runs ({!Stratum.retract} dropped it first), so it
    cannot support itself.
 
    Body atoms are joined most-selective-first ([Index.count] under the

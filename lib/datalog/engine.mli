@@ -5,7 +5,7 @@
     {!find_derivation_view} checks a single fact for a one-step
     derivation. Neither mutates anything, so both can run on several pool
     domains at once. The fixpoint that drives rounds to closure and its
-    delete/rederive maintenance live in {!Sharded}, the one stratum
+    delete/rederive maintenance live in {!Stratum}, the one stratum
     driver; the recorded derivations and their support index live in
     {!Derivations}. *)
 
@@ -13,9 +13,9 @@ type provenance = { rule : string; premises : Triple.t list }
 (** One recorded derivation: rule name and premises in body order. *)
 
 (** A read-only set of triples, and the only record for one: the join
-    loops, the strata ({!Sharded}) and the demand evaluator ({!Magic})
+    loops, the strata ({!Stratum}) and the demand evaluator ({!Magic})
     all read facts through it. It is built over one {!Index.t}
-    ({!view_of_index}, which is also {!Sharded.view}) or over the
+    ({!view_of_index}, which is also {!Stratum.view}) or over the
     caller's store. Each probe is one closure call; nothing is copied. *)
 type view = {
   v_iter : s:int option -> r:int option -> tgt:int option -> (Triple.t -> unit) -> unit;

@@ -2,7 +2,7 @@
     triple rules, evaluated semi-naively over the existing {!Index}
     machinery.
 
-    Where {!Sharded.closure} saturates the whole fact set up front, a
+    Where {!Stratum.closure} saturates the whole fact set up front, a
     {!t} starts from the base facts alone and derives only the {e cone}
     a goal can touch: {!demand} seeds a magic predicate from the goal's
     bound arguments (the demanded pattern), unifies it with rule heads

@@ -98,9 +98,9 @@ let tests =
         let base = List.init 4 (fun i -> triple (100 + i) edge (101 + i)) in
         let result = closure [ rule ] base in
         (* 5 nodes in a chain: all ordered pairs = 4+3+2+1 = 10 edges *)
-        Alcotest.(check int) "closure size" 10 (Sharded.cardinal result);
+        Alcotest.(check int) "closure size" 10 (Stratum.cardinal result);
         Alcotest.(check bool) "end-to-end edge" true
-          (Sharded.mem result (triple 100 edge 104)));
+          (Stratum.mem result (triple 100 edge 104)));
     test "guards restrict derivations" (fun () ->
         let rel = 7 and blessed = 8 in
         let rule =
@@ -111,9 +111,9 @@ let tests =
             ()
         in
         let result = closure [ rule ] [ triple 1 rel 2; triple 1 blessed 2 ] in
-        Alcotest.(check bool) "blessed flipped" true (Sharded.mem result (triple 2 blessed 1));
+        Alcotest.(check bool) "blessed flipped" true (Stratum.mem result (triple 2 blessed 1));
         Alcotest.(check bool) "unblessed not flipped" false
-          (Sharded.mem result (triple 2 rel 1)));
+          (Stratum.mem result (triple 2 rel 1)));
     test "distinct guard" (fun () ->
         let rel = 7 in
         let rule =
@@ -124,8 +124,8 @@ let tests =
             ()
         in
         let result = closure [ rule ] [ triple 1 rel 1; triple 1 rel 2 ] in
-        Alcotest.(check bool) "symmetric pair" true (Sharded.mem result (triple 2 rel 1));
-        Alcotest.(check int) "reflexive not duplicated" 3 (Sharded.cardinal result));
+        Alcotest.(check bool) "symmetric pair" true (Stratum.mem result (triple 2 rel 1));
+        Alcotest.(check int) "reflexive not duplicated" 3 (Stratum.cardinal result));
     test "provenance records rule and premises" (fun () ->
         let edge = 7 in
         let rule =
@@ -135,7 +135,7 @@ let tests =
             ()
         in
         let result = closure [ rule ] [ triple 1 edge 2; triple 2 edge 3 ] in
-        match Sharded.provenance result (triple 1 edge 3) with
+        match Stratum.provenance result (triple 1 edge 3) with
         | None -> Alcotest.fail "no provenance"
         | Some { Engine.rule = name; premises } ->
             Alcotest.(check string) "rule name" "trans" name;
@@ -152,8 +152,8 @@ let tests =
             ()
         in
         let result = closure [ rule ] [ triple 1 rel 2 ] in
-        Alcotest.(check bool) "left" true (Sharded.mem result (triple 1 left 2));
-        Alcotest.(check bool) "right" true (Sharded.mem result (triple 2 right 1)));
+        Alcotest.(check bool) "left" true (Stratum.mem result (triple 1 left 2));
+        Alcotest.(check bool) "right" true (Stratum.mem result (triple 2 right 1)));
     test "diverging rule set trips max_facts" (fun () ->
         (* succ(x,y) ⇒ succ(y, y) is bounded, so use a pairing explosion:
            p(x,y) ∧ p(y,z) ⇒ p(x,z) over a dense graph stays bounded too;
@@ -173,7 +173,7 @@ let tests =
           (try
              ignore (stratum ~max_facts:100 [ rule ] base);
              false
-           with Sharded.Diverged _ -> true));
+           with Stratum.Diverged _ -> true));
     test "rounds reach fixpoint logarithmically for transitive chains" (fun () ->
         let edge = 7 in
         let rule =
@@ -184,11 +184,11 @@ let tests =
         in
         let base = List.init 16 (fun i -> triple i edge (i + 1)) in
         let result = closure [ rule ] base in
-        Alcotest.(check int) "full closure" (17 * 16 / 2) (Sharded.cardinal result);
-        Alcotest.(check bool) "few rounds" true (Sharded.rounds result <= 8));
+        Alcotest.(check int) "full closure" (17 * 16 / 2) (Stratum.cardinal result);
+        Alcotest.(check bool) "few rounds" true (Stratum.rounds result <= 8));
     test "duplicate base facts are collapsed" (fun () ->
         let result, derived = stratum [] [ triple 1 2 3; triple 1 2 3 ] in
-        Alcotest.(check int) "one fact" 1 (Sharded.cardinal result);
+        Alcotest.(check int) "one fact" 1 (Stratum.cardinal result);
         Alcotest.(check int) "no derived" 0 (List.length derived));
     test "step derives one round without fixpoint" (fun () ->
         let edge = 7 in
@@ -237,9 +237,9 @@ let tests =
         Alcotest.(check bool) "tripped" true (Lsdb_exec.Governor.is_tripped (Some gov));
         Alcotest.(check int) "nothing derived" 0 (List.length derived);
         Alcotest.(check bool) "a strict prefix was loaded" true
-          (Sharded.cardinal result < List.length base);
+          (Stratum.cardinal result < List.length base);
         Alcotest.(check bool) "no placeholder fact" false
-          (Sharded.mem result (triple 0 0 0)));
+          (Stratum.mem result (triple 0 0 0)));
     qcheck "derivations: cone and support size agree with a map model"
       QCheck.(
         small_list (triple (int_bound 9) (int_bound 11) (small_list (int_bound 11))))

@@ -114,15 +114,15 @@ let check_chunked_round width =
           Alcotest.(check bool) (what "fans out iff wider than 32 facts")
             (width > 32)
             (Metrics.counter_value maps > before);
-          Alcotest.(check int) (what "rounds") (Sharded.rounds reference)
-            (Sharded.rounds parallel);
+          Alcotest.(check int) (what "rounds") (Stratum.rounds reference)
+            (Stratum.rounds parallel);
           Alcotest.(check bool) (what "derived in the inline order") true
             (List.equal Triple.equal reference_derived parallel_derived);
           List.iter
             (fun triple ->
               Alcotest.(check bool) (what "same provenance") true
-                (Sharded.provenance reference triple
-                = Sharded.provenance parallel triple))
+                (Stratum.provenance reference triple
+                = Stratum.provenance parallel triple))
             reference_derived))
     [ 2; 4 ]
 
@@ -290,17 +290,17 @@ let closure_tests =
         let reference, reference_derived = stratum [ rule ] base in
         with_pool ~domains:4 (fun pool ->
             let parallel, parallel_derived = stratum ~pool [ rule ] base in
-            Alcotest.(check int) "cardinal" (Sharded.cardinal reference)
-              (Sharded.cardinal parallel);
-            Alcotest.(check int) "rounds" (Sharded.rounds reference)
-              (Sharded.rounds parallel);
+            Alcotest.(check int) "cardinal" (Stratum.cardinal reference)
+              (Stratum.cardinal parallel);
+            Alcotest.(check int) "rounds" (Stratum.rounds reference)
+              (Stratum.rounds parallel);
             Alcotest.(check bool) "derived order identical" true
               (List.equal Triple.equal reference_derived parallel_derived);
             List.iter
               (fun triple ->
                 Alcotest.(check bool) "same provenance" true
-                  (Sharded.provenance reference triple
-                  = Sharded.provenance parallel triple))
+                  (Stratum.provenance reference triple
+                  = Stratum.provenance parallel triple))
               reference_derived));
     test "database closure is identical with an attached pool" (fun () ->
         let seq_db = Paper_examples.organization () in

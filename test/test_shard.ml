@@ -621,9 +621,9 @@ let tests =
             ignore (Store.add store (Fact.make (i mod 13) edge ((i * 7) mod 17)));
             ignore (Store.add store (Fact.make i 1 (i + 1)))
           done;
-          let s = Sharded.create (Store.view store) in
-          ignore (Sharded.closure [ rule ] s : Triple.t list);
-          Sharded.view s
+          let s = Stratum.create (Store.view store) in
+          ignore (Stratum.closure [ rule ] s : Triple.t list);
+          Stratum.view s
         in
         let matches (v : Engine.view) ~s ~r ~tgt =
           let acc = ref [] in

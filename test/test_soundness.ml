@@ -77,7 +77,7 @@ let tests =
         in
         let base = [ Triple.make 1 7 2; Triple.make 2 8 3 ] in
         let result, _ = stratum [ rule ] base in
-        match Sharded.provenance result (Triple.make 1 9 3) with
+        match Stratum.provenance result (Triple.make 1 9 3) with
         | Some { Engine.premises = [ p1; p2 ]; _ } ->
             Alcotest.(check bool) "first premise is body atom 0" true
               (Triple.equal p1 (Triple.make 1 7 2));

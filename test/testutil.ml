@@ -71,8 +71,8 @@ let stratum ?max_facts ?pool ?gov rules facts =
   let input = D.Index.create () in
   List.iter (fun f -> ignore (D.Index.add input f : bool)) facts;
   let s =
-    D.Sharded.create ?max_facts
+    D.Stratum.create ?max_facts
       { (D.Engine.view_of_index input) with v_seq = (fun () -> List.to_seq facts) }
   in
-  let derived = D.Sharded.closure ?pool ?gov rules s in
+  let derived = D.Stratum.closure ?pool ?gov rules s in
   (s, derived)
