@@ -33,9 +33,6 @@ let now () = Unix.gettimeofday ()
 let default_buckets =
   [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
 
-let size_buckets =
-  [| 1.0; 8.0; 64.0; 512.0; 4096.0; 32768.0; 262144.0; 2097152.0 |]
-
 let kind_name = function
   | Counter -> "counter"
   | Gauge -> "gauge"

@@ -73,10 +73,6 @@ val histogram :
 val default_buckets : float array
 (** [1µs, 10µs, 100µs, 1ms, 10ms, 100ms, 1s, 10s] — latency-shaped. *)
 
-val size_buckets : float array
-(** [1, 8, 64, 512, 4k, 32k, 256k, 2M] — for histograms over counts
-    (batch sizes, exchange volumes) rather than durations. *)
-
 (** {1 Updates} *)
 
 val incr : counter -> unit
