@@ -114,11 +114,11 @@ let domains =
 
 let shards_flag =
   let doc =
-    "Hash-partition the fact heap by source entity into $(docv) shards; \
-     closure, retraction and search then run shard-parallel on the domain \
-     pool (pair with $(b,--domains)). Query results are identical at every \
-     shard count. Session-only; flip at runtime with the shell's '.shards' \
-     command."
+    "Hash-partition the fact heap by source entity into $(docv) shards; a \
+     source-bound read then touches one shard. The closure keeps one index \
+     per stratum at every shard count, and query results are identical at \
+     every shard count. Session-only; flip at runtime with the shell's \
+     '.shards' command."
   in
   Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
 

@@ -26,7 +26,8 @@ val create : ?size_hint:int -> ?shards:int -> unit -> t
 (** Number of internal shards ([>= 1]). *)
 val shards : t -> int
 
-(** Facts per shard — the partition balance (B20's imbalance gauge). *)
+(** Facts per shard — the partition balance (shown by [.stats] and
+    [.shards]). *)
 val shard_cardinals : t -> int array
 
 (** [reshard t n] re-partitions in place: the handle stays valid, every
