@@ -285,8 +285,8 @@ let closure_tests =
             ()
         in
         let base = List.init 40 (fun i -> Triple.make (100 + i) edge (101 + i)) in
-        (* One stratum at one shard: with 4 domains each round's delta fans
-           out in contiguous chunks of at least 32 facts. *)
+        (* One stratum: with 4 domains each round's delta fans out in
+           contiguous chunks of at least 32 facts. *)
         let reference, reference_derived = stratum [ rule ] base in
         with_pool ~domains:4 (fun pool ->
             let parallel, parallel_derived = stratum ~pool [ rule ] base in
